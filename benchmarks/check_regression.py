@@ -30,7 +30,10 @@ so the check is immune to machine-speed drift entirely.  Every config
 named in ``KERNEL_MIN_SPEEDUPS`` runs a vectorized fast path and must
 stay at least that many times faster than the legacy loop —
 ``unweighted-constant`` through the constant walk, and the Adaptive-TW
-rows through the episode-vectorized adaptive walk.
+rows through the episode-vectorized adaptive walk.  The Average rows
+(``AVERAGE_CONFIGS``: the same geometries with the Average analyzer)
+are kernel-only: same-run floors in ``AVERAGE_KERNEL_MIN_SPEEDUPS``,
+outside the calibration-normalized aggregate.
 
 The bank rows interleave best-of-``BANK_INTERLEAVE`` sequential vs bank
 timings (the side order flips each round so drift and cache-warming
@@ -83,7 +86,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import DetectorConfig, ModelKind, TrailingPolicy
+from repro.core import AnalyzerKind, DetectorConfig, ModelKind, TrailingPolicy
 from repro.core.bank import DetectorBank
 from repro.core.engine import run_detector
 from repro.obs.manifest import environment_info
@@ -154,6 +157,24 @@ BANK_INTERLEAVE = 3
 KERNEL_MIN_SPEEDUPS = {
     "unweighted-constant": 3.0,
     "unweighted-adaptive": 2.0,
+    "weighted-adaptive": 1.5,
+}
+
+#: The ``CONFIGS`` geometries with the Average analyzer.  Kernel-only
+#: rows: timed against the fused loop like the Threshold kernel rows,
+#: gated by same-run floors, and kept out of the calibration-normalized
+#: aggregate (the committed baselines predate them).
+AVERAGE_CONFIGS = {
+    label: replace(config, analyzer=AnalyzerKind.AVERAGE, delta=0.05)
+    for label, config in CONFIGS.items()
+}
+
+#: Same-run floors for the Average rows (measured ~7-8x, ~5-6x, ~2.3x
+#: and ~3x on a 2-core host).
+AVERAGE_KERNEL_MIN_SPEEDUPS = {
+    "unweighted-constant": 3.0,
+    "unweighted-adaptive": 2.0,
+    "weighted-constant": 1.5,
     "weighted-adaptive": 1.5,
 }
 
@@ -659,6 +680,8 @@ def measure(repeats):
     cal_samples = []
     det_samples = {label: [] for label in CONFIGS}
     legacy_samples = {label: [] for label in CONFIGS}
+    avg_samples = {label: [] for label in AVERAGE_CONFIGS}
+    avg_legacy_samples = {label: [] for label in AVERAGE_CONFIGS}
     family_samples = {label: [] for label in FAMILY_CONFIGS}
     bank_configs = _bank_configs()
     cold_samples = []
@@ -679,6 +702,13 @@ def measure(repeats):
                     _timed(lambda c=config: run_detector(trace, c, kernels=True))
                 )
                 legacy_samples[label].append(
+                    _timed(lambda c=config: run_detector(trace, c, kernels=False))
+                )
+            for label, config in AVERAGE_CONFIGS.items():
+                avg_samples[label].append(
+                    _timed(lambda c=config: run_detector(trace, c, kernels=True))
+                )
+                avg_legacy_samples[label].append(
                     _timed(lambda c=config: run_detector(trace, c, kernels=False))
                 )
             for label, config in FAMILY_CONFIGS.items():
@@ -721,6 +751,15 @@ def measure(repeats):
             "legacy_seconds": round(legacy_seconds, 6),
             "speedup": round(legacy_seconds / seconds, 4),
         }
+    average_rows = {}
+    for label in AVERAGE_CONFIGS:
+        seconds = min(avg_samples[label])
+        legacy_seconds = min(avg_legacy_samples[label])
+        average_rows[label] = {
+            "kernel_seconds": round(seconds, 6),
+            "legacy_seconds": round(legacy_seconds, 6),
+            "speedup": round(legacy_seconds / seconds, 4),
+        }
     families = {}
     for label in FAMILY_CONFIGS:
         seconds = min(family_samples[label])
@@ -757,6 +796,10 @@ def measure(repeats):
         "kernels": {
             "min_speedups": KERNEL_MIN_SPEEDUPS,
             "configs": kernel_rows,
+            "average": {
+                "min_speedups": AVERAGE_KERNEL_MIN_SPEEDUPS,
+                "configs": average_rows,
+            },
         },
         "zero_copy": {
             "warm_start": {
@@ -814,6 +857,10 @@ def _print_report(result):
               f"normalized={entry['normalized']:.4f}")
     for label, row in result["kernels"]["configs"].items():
         print(f"  kernel {label:15s} {row['kernel_seconds']:.4f}s vs "
+              f"legacy {row['legacy_seconds']:.4f}s "
+              f"(speedup {row['speedup']:.2f}x)")
+    for label, row in result["kernels"]["average"]["configs"].items():
+        print(f"  kernel avg {label:11s} {row['kernel_seconds']:.4f}s vs "
               f"legacy {row['legacy_seconds']:.4f}s "
               f"(speedup {row['speedup']:.2f}x)")
     bank = result["bank"]
@@ -970,6 +1017,18 @@ def main(argv=None):
             print(f"FAIL: array-native kernel path was only "
                   f"{kernel_speedup:.2f}x the legacy fused loop on "
                   f"{gate_config} (gate {min_speedup:.1f}x)",
+                  file=sys.stderr)
+            return 1
+    for gate_config, min_speedup in AVERAGE_KERNEL_MIN_SPEEDUPS.items():
+        kernel_speedup = float(
+            result["kernels"]["average"]["configs"][gate_config]["speedup"]
+        )
+        print(f"kernel speedup (average {gate_config}): {kernel_speedup:.2f}x "
+              f"(gate >= {min_speedup:.1f}x)")
+        if kernel_speedup < min_speedup:
+            print(f"FAIL: array-native kernel path was only "
+                  f"{kernel_speedup:.2f}x the legacy fused loop on "
+                  f"average {gate_config} (gate {min_speedup:.1f}x)",
                   file=sys.stderr)
             return 1
     # Zero-copy gates: same-run ratios, baseline-independent like the

@@ -41,10 +41,7 @@ from repro.core.detector import (
 )
 from repro.core.engine import run_detector
 from repro.core.kernels import (
-    DenseAdvancer,
-    dense_eligible,
     kernels_enabled,
-    run_dense,
     run_vectorized,
     vectorized_eligible,
 )
@@ -112,10 +109,7 @@ __all__ = [
     "run_detector",
     "DetectorRuntime",
     "DetectorBank",
-    "DenseAdvancer",
-    "dense_eligible",
     "kernels_enabled",
-    "run_dense",
     "run_vectorized",
     "vectorized_eligible",
     "PhaseTracker",

@@ -19,11 +19,11 @@ by the sweep cache byte-equality test.
 
 With the array-native kernels enabled (the default, see
 :mod:`repro.core.kernels`), eligible members skip the lockstep lanes
-entirely and run on the trace's shared dense element remap instead —
-the cached ``dense_codes()`` pass and one materialized code list are
-the bank-level shared work, replacing the shared decode/chunking.
-Observed or custom-component members still use the legacy lanes, and
-results stay bit-identical either way.
+entirely and run on the vectorized episode walks instead — the cached
+``dense_codes()`` pass and the per-signature similarity series are the
+bank-level shared work, replacing the shared decode/chunking.
+Observed, restored or custom-component members still use the legacy
+lanes, and results stay bit-identical either way.
 """
 
 from __future__ import annotations
@@ -100,11 +100,8 @@ class DetectorBank:
         """Run every member over ``trace``; results in member order.
 
         Members eligible for the array-native kernels (see
-        :mod:`repro.core.kernels`) run on the shared per-trace dense
-        remap — the cached ``trace.dense_codes()`` pass plus one
-        materialized code list shared by every dense member, the same
-        way the legacy lanes share the trace decode.  Vectorized members
-        additionally run through the **batched advancer**
+        :mod:`repro.core.kernels`) — Threshold and Average analyzers
+        alike — run through the **batched advancer**
         (:func:`repro.core.kernels.run_bank_batched`): one
         :class:`~repro.core.kernels.SharedTraceKernels` cache funnels
         every lane, so lanes sharing a window signature share the full
@@ -123,7 +120,7 @@ class DetectorBank:
           :mod:`repro.obs.trace`); the run becomes a ``bank.run`` span
           under ``trace_parent`` with one ``bank.kernel`` child per
           kernel path actually taken (``batched`` / ``vectorized`` /
-          ``dense`` / ``lanes``).
+          ``lanes``).
         - ``metrics`` — a registry whose ``bank.advance_seconds``
           histogram receives one observation per kernel member run and
           per legacy lane segment.
@@ -173,14 +170,10 @@ class DetectorBank:
             batched = kernel_mod.bank_batching_enabled()
         states_by_member: List[Optional[np.ndarray]] = [None] * len(runtimes)
         vector_members: List[int] = []
-        dense_members: List[int] = []
         legacy_members: List[int] = []
         for index, runtime in enumerate(runtimes):
-            path = kernel_mod.kernel_path(runtime, kernels)
-            if path == "vectorized":
+            if kernel_mod.kernel_path(runtime, kernels) == "vectorized":
                 vector_members.append(index)
-            elif path == "dense":
-                dense_members.append(index)
             else:
                 legacy_members.append(index)
 
@@ -208,22 +201,6 @@ class DetectorBank:
                         )
                         if histogram is not None:
                             histogram.observe(time.perf_counter() - started)
-        if dense_members:
-            with _maybe_span(
-                tracer, "bank.kernel", bank_span,
-                path="dense", members=len(dense_members),
-            ):
-                # One materialization, cached on the trace and shared across
-                # every bank batch (not just this one).
-                codes, n_codes = trace.dense_code_list()
-                for index in dense_members:
-                    started = time.perf_counter() if histogram is not None else 0.0
-                    states_by_member[index] = kernel_mod.run_dense(
-                        runtimes[index], trace, codes, n_codes
-                    )
-                    if histogram is not None:
-                        histogram.observe(time.perf_counter() - started)
-
         if legacy_members:
             with _maybe_span(
                 tracer, "bank.kernel", bank_span,

@@ -293,12 +293,14 @@ class DecisionEngine:
     def kernel_path(self, kernels: Optional[bool] = None) -> str:
         """Which whole-trace kernel path drives this engine.
 
-        ``"vectorized"``, ``"dense"``, or ``"legacy"`` — the single
-        dispatch rule (:func:`repro.core.kernels.kernel_path`) shared by
-        the runtime's solo :meth:`run` and the bank's member partition,
-        so the two fronts can never disagree on routing.  Non-window
-        families (``fused_capable()`` is False) always report
-        ``"legacy"``; ``kernels=None`` consults ``REPRO_KERNELS``.
+        ``"vectorized"`` (every fresh, unobserved standard-component
+        windowed engine, Threshold or Average analyzer) or ``"legacy"``
+        — the single dispatch rule
+        (:func:`repro.core.kernels.kernel_path`) shared by the runtime's
+        solo :meth:`run` and the bank's member partition, so the two
+        fronts can never disagree on routing.  Non-window families
+        (``fused_capable()`` is False) always report ``"legacy"``;
+        ``kernels=None`` consults ``REPRO_KERNELS``.
         """
         from repro.core import kernels as kernel_mod
 

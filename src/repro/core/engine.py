@@ -43,11 +43,10 @@ def run_detector(
     ``kernels`` controls the array-native kernels of
     :mod:`repro.core.kernels` (``None`` consults ``REPRO_KERNELS``;
     they apply only to unobserved windowed runs and produce
-    bit-identical results; other families ignore the flag).  Windowed
-    Threshold-analyzer configs — Constant *and* Adaptive trailing,
-    unweighted *and* weighted, any geometry — take the vectorized
-    whole-trace path; Average-analyzer configs take the incremental
-    dense path (see ``docs/performance.md`` for the eligibility
-    matrix).
+    bit-identical results; other families ignore the flag).  Every
+    windowed config with the standard components — Threshold *and*
+    Average analyzer, Constant *and* Adaptive trailing, unweighted
+    *and* weighted, any geometry — takes the vectorized whole-trace
+    path (see ``docs/performance.md`` for the eligibility matrix).
     """
     return build_engine(config, observer=observer).run(trace, kernels=kernels)

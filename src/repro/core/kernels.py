@@ -5,13 +5,9 @@ million-element traces, and the per-element Python bookkeeping in
 :meth:`~repro.core.runtime.DetectorRuntime._advance_fused` — dict
 lookups keyed by packed int64 profile elements, deque rotation — is the
 dominant cost of every sweep.  This module applies the standard move of
-scalable online change-point systems (NEWMA, FOCuS): constant-size
-numeric state over *densely remapped* element IDs, so the hot loop
-indexes flat count buffers instead of hashing, plus a fully vectorized
-whole-trace fast path for the configurations whose window state never
-depends on analyzer decisions mid-stream.
-
-Three cooperating pieces:
+scalable online change-point systems (NEWMA, FOCuS): numeric state over
+*densely remapped* element IDs, and a whole-trace vectorized pass that
+replays the detector's decisions episode by episode.
 
 **Dense remapping** — :meth:`BranchTrace.dense_codes` maps the trace's
 packed int64 elements to contiguous small ints (``codes``) once per
@@ -19,23 +15,11 @@ trace via one cached ``np.unique`` pass.  Every lane of a
 :class:`~repro.core.bank.DetectorBank` pass shares the same remap, the
 same way the bank already shares the trace decode.
 
-**Flat count buffers** — :class:`DenseAdvancer` re-implements the fused
-loop's CW/TW bookkeeping on preallocated per-code count lists plus
-scalar intersection/weight accumulators.  Because elements flow
-stream → CW → TW → discard, both windows are always *contiguous slices
-of the trace*; the advancer therefore keeps no window deques at all —
-just two lengths and the shared codes list — and evicts by position
-arithmetic.  In the steady state (both windows at capacity) it walks
-three parallel slices (incoming, CW→TW, TW→discard) in lockstep with
-zero per-element index math.  All similarity aggregates are maintained
-with the exact integer updates of the reference path, so every
-similarity value is bit-identical.
-
 **Vectorized whole-trace fast path** — :func:`run_vectorized` computes
 similarity series with sliding-window array operations and derives
 states and phases in one pass.  It covers every standard-component
-configuration with the Threshold analyzer: Constant *and* Adaptive
-trailing windows, unweighted *and* weighted models, any window
+configuration: Threshold *and* Average analyzers, Constant *and*
+Adaptive trailing windows, unweighted *and* weighted models, any window
 geometry.  The key observations:
 
 - With a Constant TW, at any *filled* step the windows are pure
@@ -63,38 +47,43 @@ geometry.  The key observations:
   feedback is episode-local: between phases the windows follow Constant
   geometry from the last flush origin, and within a phase the pinned
   TW boundary and refill/slide regimes are pure functions of the entry
-  step.  :func:`run_vectorized` therefore walks phase *episodes* —
-  constant-series scans to find each entry, then a segment-local
-  vectorized in-phase scan (``_scan_phase_unweighted`` /
-  ``_scan_phase_weighted``) to find the exit.
+  step.  The walk therefore finds each entry on the constant series and
+  then scans the phase's resized windows segment-locally
+  (``_scan_phase_unweighted`` / ``_scan_phase_weighted``) for the exit.
+- Both analyzers' bars are episode-local too (:class:`_ExitRule`).
+  Entry is a fixed bar — ``threshold`` or the Average analyzer's
+  ``enter_threshold``.  In phase the Threshold bar stays put, and the
+  Average bar at each step is the running phase mean minus ``delta``.
+  The rule carries the phase's ``(total, count)`` across scan blocks
+  and extends it with ``np.cumsum`` seeded by the carried total: the
+  same left-to-right additions as ``PhaseStats.add``, so bars and phase
+  means are bit-identical to the incremental loop's.
 
 **Batched bank advancement** — :class:`SharedTraceKernels` caches
 prev-occurrence links, skip-group boundaries, and whole similarity
 series per window *signature* ``(weighted, cw, tw, skip)``, so a
 :class:`~repro.core.bank.DetectorBank` whose members differ only by
-threshold or anchor/resize policy computes each series once.
-:func:`run_bank_batched` drives every vectorized member through one
+analyzer bars or anchor/resize policy computes each series once.
+:func:`run_bank_batched` drives every kernel member through one
 shared cache (:func:`bank_batching_enabled` / ``REPRO_BANK_BATCHED=0``
 to disable).
 
-The detector's decision sequence is then replayed over the precomputed
-series in *episodes*: scan for the next phase entry/exit with array
-searches, and on each exit restart the filled-mask origin at the flush
-point.  Phases, anchor-corrected starts, per-phase mean similarity and
-the final runtime state (windows, analyzer statistics) are
-reconstructed so that checkpoints taken after a vectorized run are
-bit-identical to the incremental paths' — the config-matrix equivalence
-suite in ``tests/core/test_kernels.py`` and the fuzz suite in
+Each exit restarts the filled-mask origin at the flush point.  Phases,
+anchor-corrected starts, per-phase mean similarity and the final
+runtime state (windows, analyzer statistics) are reconstructed so that
+checkpoints taken after a vectorized run are bit-identical to the
+incremental paths' — the config-matrix equivalence suite in
+``tests/core/test_kernels.py`` and the fuzz suite in
 ``tests/properties/test_kernel_properties.py`` pin states, phases,
 similarity series, event streams and checkpoints against the reference
 path, and the ``kernel-equivalence`` CI job byte-compares sweep caches
 produced with kernels on vs. off.
 
-Kernels are on by default wherever they apply (see the eligibility
-predicates); set ``REPRO_KERNELS=0`` or pass ``kernels=False`` through
-:func:`~repro.core.engine.run_detector` / the sweep stack to force the
-legacy paths.  See ``docs/performance.md`` for eligibility rules and
-measured speedups.
+Kernels are on by default wherever they apply (see
+:func:`vectorized_eligible`); set ``REPRO_KERNELS=0`` or pass
+``kernels=False`` through :func:`~repro.core.engine.run_detector` / the
+sweep stack to force the legacy paths.  See ``docs/performance.md`` for
+eligibility rules and measured speedups.
 """
 
 from __future__ import annotations
@@ -107,16 +96,14 @@ import numpy as np
 
 from repro.core.analyzers import ThresholdAnalyzer
 from repro.core.config import AnchorPolicy, ResizePolicy, TrailingPolicy
-from repro.core.models import UnweightedSetModel, WeightedSetModel
+from repro.core.models import WeightedSetModel
 from repro.core.state import PhaseState
 
 __all__ = [
     "kernels_enabled",
     "bank_batching_enabled",
     "kernel_path",
-    "dense_eligible",
     "vectorized_eligible",
-    "DenseAdvancer",
     "run_dense",
     "run_vectorized",
     "SharedTraceKernels",
@@ -150,32 +137,16 @@ def _fresh(runtime) -> bool:
     )
 
 
-def dense_eligible(runtime) -> bool:
-    """True when :class:`DenseAdvancer` may drive ``runtime`` over a trace.
+def vectorized_eligible(runtime) -> bool:
+    """True when :func:`run_vectorized` may run ``runtime`` over a trace.
 
     Requires the exact standard components (same rule as
-    :meth:`~repro.core.runtime.DetectorRuntime.fused_capable`), no
+    :meth:`~repro.core.runtime.DetectorRuntime.fused_capable`: either
+    model, either analyzer, any trailing policy and geometry), no
     observer (observed runs take the legacy fused path, which emits the
     canonical event stream), and a fresh runtime.
     """
     return runtime.fused_capable() and runtime.observer is None and _fresh(runtime)
-
-
-def vectorized_eligible(runtime) -> bool:
-    """True when :func:`run_vectorized` may run ``runtime`` over a trace.
-
-    The vectorized path covers every standard-component configuration
-    with the Threshold analyzer: Constant *and* Adaptive trailing
-    windows, unweighted *and* weighted models, any window geometry.
-    The Constant TW has no analyzer→window feedback at all; the
-    Adaptive TW's only feedback (the entry resize, the in-phase growth)
-    is replayed per phase episode with segment-local array work.  Only
-    the Average analyzer — whose decision bar tracks in-phase
-    statistics step by step — keeps the incremental dense path.
-    """
-    if not dense_eligible(runtime):
-        return False
-    return type(runtime.analyzer) is ThresholdAnalyzer
 
 
 def bank_batching_enabled() -> bool:
@@ -192,629 +163,30 @@ def bank_batching_enabled() -> bool:
 def kernel_path(engine, kernels: Optional[bool] = None) -> str:
     """Which kernel path drives ``engine`` over a whole trace.
 
-    Returns ``"vectorized"``, ``"dense"``, or ``"legacy"`` — the single
-    dispatch rule shared by :meth:`DetectorRuntime._run_kernel
+    Returns ``"vectorized"`` or ``"legacy"`` — the single dispatch rule
+    shared by :meth:`DetectorRuntime._run_kernel
     <repro.core.runtime.DetectorRuntime>` and the bank's member
     partition.  ``kernels=None`` consults ``REPRO_KERNELS``; non-window
     engines (``fused_capable()`` is False) always report ``"legacy"``.
     """
     if kernels is None:
         kernels = kernels_enabled()
-    if not kernels:
-        return "legacy"
-    if vectorized_eligible(engine):
+    if kernels and vectorized_eligible(engine):
         return "vectorized"
-    if dense_eligible(engine):
-        return "dense"
     return "legacy"
 
 
-# ---------------------------------------------------------------------------
-# Flat count buffers: the dense incremental advancer
-# ---------------------------------------------------------------------------
+def run_dense(runtime, trace) -> np.ndarray:
+    """:func:`run_vectorized` under the name of the retired incremental
+    dense kernel.
 
-
-class DenseAdvancer:
-    """The fused loop on flat count buffers over dense element codes.
-
-    One advancer drives one :class:`~repro.core.runtime.DetectorRuntime`
-    over one trace.  It mirrors ``_advance_fused`` decision for decision
-    — same integer aggregates, same float operations in the same order —
-    but replaces the per-element dict/deque bookkeeping with:
-
-    - ``cw_count``/``tw_count``: per-code occurrence counts in plain
-      Python lists (flat buffers indexed by dense code — no hashing);
-    - implicit windows: both windows are contiguous trace slices, so
-      only their lengths are tracked and evictions read the shared
-      codes list by position;
-    - a steady-state inner loop that walks the incoming / CW→TW /
-      TW→discard slices in lockstep (zero index arithmetic per element).
-
-    Model/analyzer/tracker objects are untouched during the pass; call
-    :meth:`finalize` once at the end to sync every piece of state back
-    so checkpoints and path interleavings behave exactly as with the
-    legacy loop.  Rare events (phase entry anchoring and resizing, the
-    phase-exit window flush) are computed inline on the flat state with
-    the same semantics as :class:`~repro.core.windows.WindowPair`.
+    A distinct function, not an alias: ``perfbench/layers.py`` wraps
+    ``repro.core.kernels.run_dense`` by name and rebinds every module
+    attribute that *is* the wrapped object, so with ``run_dense =
+    run_vectorized`` it would re-wrap :func:`run_vectorized` wherever
+    that is re-exported.
     """
-
-    def __init__(self, runtime, codes: List[int], n_codes: int, data) -> None:
-        if not dense_eligible(runtime):
-            raise ValueError("runtime is not eligible for the dense kernel")
-        self.runtime = runtime
-        self.codes = codes
-        self.n_codes = n_codes
-        self.data = data  # the raw int64 trace array (for state sync-back)
-        config = runtime.config
-        self.skip = config.skip_factor
-        self.cw_cap = config.cw_size
-        self.tw_cap = config.effective_tw_size
-        self.adaptive = config.trailing is TrailingPolicy.ADAPTIVE
-        self.anchor_policy = config.anchor
-        self.resize_policy = config.resize
-        self.weighted = type(runtime.model) is WeightedSetModel
-        analyzer = runtime.analyzer
-        self.threshold_analyzer = type(analyzer) is ThresholdAnalyzer
-        self.threshold = analyzer.threshold if self.threshold_analyzer else 0.0
-        self.delta = 0.0 if self.threshold_analyzer else analyzer.delta
-        self.enter_threshold = (
-            0.0 if self.threshold_analyzer else analyzer.enter_threshold
-        )
-        # Flat per-code buffers (the whole point).
-        self.cw_count = [0] * n_codes
-        self.tw_count = [0] * n_codes
-        self._seen = bytearray(n_codes)  # scratch for dedup scans
-        # Sparse set of the CW's distinct codes (weighted model only):
-        # compact list + per-code position, so the scaled-numerator
-        # recompute iterates O(distinct) codes like the legacy dict —
-        # not the whole O(cw_len) window slice.  Maintained by the
-        # general loop; steady groups invalidate it (they keep the
-        # numerator incrementally and never read it).
-        self.cw_set: List[int] = []
-        self.cw_set_pos = [0] * n_codes if self.weighted else []
-        self.cw_set_valid = True
-        # Scalar state, mirroring the legacy loop's locals.
-        self.consumed = 0
-        self.cw_len = 0
-        self.tw_len = 0
-        self.filled = False
-        self.growing = False
-        self.in_phase = False
-        self.distinct_cw = 0
-        self.shared = 0
-        self.s_num = 0
-        self.s_dirty = True
-        self.stat_total = 0.0
-        self.stat_count = 0
-        self.stat_min = 1.0
-        self.stat_max = 0.0
-        self._finalized = False
-
-    # -- rare events ----------------------------------------------------------
-
-    def _anchor_and_resize(self) -> int:
-        """Inline ``WindowPair.anchor_and_resize`` on the flat state."""
-        codes = self.codes
-        cw_count = self.cw_count
-        tw_count = self.tw_count
-        tw_len = self.tw_len
-        tw_start = self.consumed - self.cw_len - tw_len
-        if self.anchor_policy is AnchorPolicy.RN:
-            anchor = 0
-            for index in range(tw_len):
-                if cw_count[codes[tw_start + index]] == 0:
-                    anchor = index + 1
-        else:  # LNN
-            anchor = tw_len
-            for index in range(tw_len):
-                if cw_count[codes[tw_start + index]] > 0:
-                    anchor = index
-                    break
-        anchor_abs = tw_start + anchor
-        if not self.adaptive:
-            return anchor_abs
-        # Drop TW[:anchor] ...
-        for index in range(anchor):
-            tw_count[codes[tw_start + index]] -= 1
-        self.tw_len = tw_len - anchor
-        if self.resize_policy is ResizePolicy.SLIDE:
-            # ... then refill the TW from the CW's left (windows stay
-            # contiguous: the TW's right edge chases the CW's left edge).
-            moved = max(0, min(anchor, self.cw_len - 1))
-            cw_start = self.consumed - self.cw_len
-            for index in range(moved):
-                code = codes[cw_start + index]
-                cw_count[code] -= 1
-                tw_count[code] += 1
-            self.cw_len -= moved
-            self.tw_len += moved
-        self.growing = True
-        return anchor_abs
-
-    def _recount_cw(self) -> None:
-        """Recompute distinct/shared from the CW slice (after resizes)."""
-        codes = self.codes
-        cw_count = self.cw_count
-        tw_count = self.tw_count
-        seen = self._seen
-        distinct = 0
-        shared = 0
-        start = self.consumed - self.cw_len
-        for pos in range(start, self.consumed):
-            code = codes[pos]
-            if not seen[code]:
-                seen[code] = 1
-                distinct += 1
-                if tw_count[code] > 0:
-                    shared += 1
-        for pos in range(start, self.consumed):
-            seen[codes[pos]] = 0
-        self.distinct_cw = distinct
-        self.shared = shared
-
-    def _rebuild_cw_set(self) -> None:
-        """Rebuild the sparse distinct-CW-code set from the CW slice."""
-        codes = self.codes
-        seen = self._seen
-        cw_set = self.cw_set
-        del cw_set[:]
-        append = cw_set.append
-        cw_set_pos = self.cw_set_pos
-        start = self.consumed - self.cw_len
-        for pos in range(start, self.consumed):
-            code = codes[pos]
-            if not seen[code]:
-                seen[code] = 1
-                cw_set_pos[code] = len(cw_set)
-                append(code)
-        for code in cw_set:
-            seen[code] = 0
-        self.cw_set_valid = True
-
-    def _clear_and_seed(self, group_len: int) -> None:
-        """Inline ``clear_and_seed``: flush both windows, reseed the CW
-        with the last ``min(group_len, cw_cap)`` stream elements."""
-        codes = self.codes
-        span = self.cw_len + self.tw_len
-        if span * 2 < self.n_codes:
-            # Only window members have nonzero counts; clear selectively.
-            cw_count = self.cw_count
-            tw_count = self.tw_count
-            for pos in range(self.consumed - span, self.consumed):
-                code = codes[pos]
-                cw_count[code] = 0
-                tw_count[code] = 0
-        else:
-            self.cw_count = [0] * self.n_codes
-            self.tw_count = [0] * self.n_codes
-        cw_count = self.cw_count
-        seed_len = min(group_len, self.cw_cap)
-        self.cw_len = seed_len
-        self.tw_len = 0
-        distinct = 0
-        if self.weighted:
-            cw_set = self.cw_set
-            del cw_set[:]
-            cw_set_pos = self.cw_set_pos
-            for pos in range(self.consumed - seed_len, self.consumed):
-                code = codes[pos]
-                count = cw_count[code] + 1
-                cw_count[code] = count
-                if count == 1:
-                    distinct += 1
-                    cw_set_pos[code] = len(cw_set)
-                    cw_set.append(code)
-            self.cw_set_valid = True
-        else:
-            for pos in range(self.consumed - seed_len, self.consumed):
-                code = codes[pos]
-                count = cw_count[code] + 1
-                cw_count[code] = count
-                if count == 1:
-                    distinct += 1
-        self.distinct_cw = distinct
-        self.shared = 0
-        self.s_num = 0
-        self.s_dirty = True
-        self.filled = False
-        self.growing = False
-        self.stat_total = 0.0
-        self.stat_count = 0
-        self.stat_min = 1.0
-        self.stat_max = 0.0
-
-    # -- the hot loop ---------------------------------------------------------
-
-    def advance(self, start: int, stop: int, states: bytearray) -> None:
-        """Advance over ``codes[start:stop]`` in ``skipFactor`` groups.
-
-        ``states`` must hold zero bytes for every element in the range;
-        in-phase groups are marked with ``\\x01`` (positions are trace
-        positions — dense runs always start from a fresh runtime).
-        Mirrors ``DetectorRuntime._advance_fused`` decision for decision.
-        """
-        codes = self.codes
-        skip = self.skip
-        cw_cap = self.cw_cap
-        tw_cap = self.tw_cap
-        weighted = self.weighted
-        threshold_analyzer = self.threshold_analyzer
-        threshold = self.threshold
-        delta = self.delta
-        enter_threshold = self.enter_threshold
-        tracker = self.runtime.tracker
-
-        cw_count = self.cw_count
-        tw_count = self.tw_count
-        consumed = self.consumed
-        cw_len = self.cw_len
-        tw_len = self.tw_len
-        filled = self.filled
-        growing = self.growing
-        in_phase = self.in_phase
-        distinct_cw = self.distinct_cw
-        shared = self.shared
-        s_num = self.s_num
-        s_dirty = self.s_dirty
-        cw_set = self.cw_set
-        cw_set_pos = self.cw_set_pos
-        cw_set_valid = self.cw_set_valid
-        stat_total = self.stat_total
-        stat_count = self.stat_count
-        stat_min = self.stat_min
-        stat_max = self.stat_max
-
-        group_start = start
-        while group_start < stop:
-            group_end = min(group_start + skip, stop)
-            group_len = group_end - group_start
-
-            # The incremental weighted numerator is exact only while both
-            # windows sit at their steady-state lengths for the whole group.
-            steady = (
-                filled and not growing and cw_len == cw_cap and tw_len == tw_cap
-            )
-            steady_w = weighted and not s_dirty and steady
-            if weighted and not steady_w:
-                s_dirty = True
-            if weighted and steady:
-                # Steady loops don't maintain the sparse distinct set
-                # (the numerator is incremental there); mark it stale.
-                cw_set_valid = False
-
-            # ---- push the group through the windows ----------------------
-            if steady_w:
-                # Steady state, weighted: three parallel slices (incoming,
-                # CW->TW eviction, TW discard) walked in lockstep, with the
-                # exact scaled-numerator updates of the reference loop.
-                for code, old, dead in zip(
-                    codes[group_start:group_end],
-                    codes[group_start - cw_cap : group_end - cw_cap],
-                    codes[group_start - cw_cap - tw_cap : group_end - cw_cap - tw_cap],
-                ):
-                    # CW add
-                    count = cw_count[code] + 1
-                    cw_count[code] = count
-                    if count == 1:
-                        distinct_cw += 1
-                        if tw_count[code] > 0:
-                            shared += 1
-                    tw_c = tw_count[code]
-                    if tw_c:
-                        s_num += min(count * tw_cap, tw_c * cw_cap) - min(
-                            (count - 1) * tw_cap, tw_c * cw_cap
-                        )
-                    # CW evict -> TW add
-                    old_count = cw_count[old] - 1
-                    cw_count[old] = old_count
-                    if old_count == 0:
-                        distinct_cw -= 1
-                        if tw_count[old] > 0:
-                            shared -= 1
-                    old_tw = tw_count[old]
-                    if old_tw:
-                        s_num += min(old_count * tw_cap, old_tw * cw_cap) - min(
-                            (old_count + 1) * tw_cap, old_tw * cw_cap
-                        )
-                    tw_count[old] = old_tw + 1
-                    if old_tw == 0 and old_count:
-                        shared += 1
-                    if old_count:
-                        s_num += min(old_count * tw_cap, (old_tw + 1) * cw_cap) - min(
-                            old_count * tw_cap, old_tw * cw_cap
-                        )
-                    # TW discard
-                    dead_count = tw_count[dead] - 1
-                    tw_count[dead] = dead_count
-                    if dead_count == 0 and cw_count[dead] > 0:
-                        shared -= 1
-                    dead_cw = cw_count[dead]
-                    if dead_cw:
-                        s_num += min(dead_cw * tw_cap, dead_count * cw_cap) - min(
-                            dead_cw * tw_cap, (dead_count + 1) * cw_cap
-                        )
-                consumed = group_end
-            elif steady:
-                # Steady state, unweighted aggregates only.
-                for code, old, dead in zip(
-                    codes[group_start:group_end],
-                    codes[group_start - cw_cap : group_end - cw_cap],
-                    codes[group_start - cw_cap - tw_cap : group_end - cw_cap - tw_cap],
-                ):
-                    count = cw_count[code] + 1
-                    cw_count[code] = count
-                    if count == 1:
-                        distinct_cw += 1
-                        if tw_count[code] > 0:
-                            shared += 1
-                    old_count = cw_count[old] - 1
-                    cw_count[old] = old_count
-                    if old_count == 0:
-                        distinct_cw -= 1
-                        if tw_count[old] > 0:
-                            shared -= 1
-                    old_tw = tw_count[old]
-                    tw_count[old] = old_tw + 1
-                    if old_tw == 0 and old_count:
-                        shared += 1
-                    dead_count = tw_count[dead] - 1
-                    tw_count[dead] = dead_count
-                    if dead_count == 0 and cw_count[dead] > 0:
-                        shared -= 1
-                consumed = group_end
-            elif weighted:
-                # Fill / post-anchor refill / Adaptive growth, weighted:
-                # the general per-element loop with explicit length
-                # tracking, also maintaining the sparse distinct set the
-                # scaled-numerator recompute iterates.
-                if not cw_set_valid:
-                    self.consumed = consumed
-                    self.cw_len = cw_len
-                    self._rebuild_cw_set()
-                    cw_set_valid = True
-                for pos in range(group_start, group_end):
-                    code = codes[pos]
-                    consumed += 1
-                    count = cw_count[code] + 1
-                    cw_count[code] = count
-                    cw_len += 1
-                    if count == 1:
-                        distinct_cw += 1
-                        if tw_count[code] > 0:
-                            shared += 1
-                        cw_set_pos[code] = len(cw_set)
-                        cw_set.append(code)
-                    if cw_len > cw_cap:
-                        old = codes[consumed - cw_len]
-                        old_count = cw_count[old] - 1
-                        cw_count[old] = old_count
-                        cw_len -= 1
-                        if old_count == 0:
-                            distinct_cw -= 1
-                            if tw_count[old] > 0:
-                                shared -= 1
-                            last = cw_set.pop()
-                            if last != old:
-                                slot = cw_set_pos[old]
-                                cw_set[slot] = last
-                                cw_set_pos[last] = slot
-                        old_tw = tw_count[old]
-                        tw_count[old] = old_tw + 1
-                        tw_len += 1
-                        if old_tw == 0 and old_count:
-                            shared += 1
-                        if not growing and tw_len > tw_cap:
-                            dead = codes[consumed - cw_len - tw_len]
-                            dead_count = tw_count[dead] - 1
-                            tw_count[dead] = dead_count
-                            tw_len -= 1
-                            if dead_count == 0 and cw_count[dead] > 0:
-                                shared -= 1
-                if not filled and tw_len >= tw_cap and cw_len >= cw_cap:
-                    filled = True
-            else:
-                # Fill / post-anchor refill / Adaptive growth: the general
-                # per-element loop with explicit length tracking.
-                for pos in range(group_start, group_end):
-                    code = codes[pos]
-                    consumed += 1
-                    count = cw_count[code] + 1
-                    cw_count[code] = count
-                    cw_len += 1
-                    if count == 1:
-                        distinct_cw += 1
-                        if tw_count[code] > 0:
-                            shared += 1
-                    if cw_len > cw_cap:
-                        old = codes[consumed - cw_len]
-                        old_count = cw_count[old] - 1
-                        cw_count[old] = old_count
-                        cw_len -= 1
-                        if old_count == 0:
-                            distinct_cw -= 1
-                            if tw_count[old] > 0:
-                                shared -= 1
-                        old_tw = tw_count[old]
-                        tw_count[old] = old_tw + 1
-                        tw_len += 1
-                        if old_tw == 0 and old_count:
-                            shared += 1
-                        if not growing and tw_len > tw_cap:
-                            dead = codes[consumed - cw_len - tw_len]
-                            dead_count = tw_count[dead] - 1
-                            tw_count[dead] = dead_count
-                            tw_len -= 1
-                            if dead_count == 0 and cw_count[dead] > 0:
-                                shared -= 1
-                if not filled and tw_len >= tw_cap and cw_len >= cw_cap:
-                    filled = True
-
-            # ---- similarity + analyzer -----------------------------------
-            if not filled:
-                new_in_phase = False
-                similarity = 0.0
-            else:
-                if weighted:
-                    if s_dirty:
-                        if not cw_set_valid:
-                            self.consumed = consumed
-                            self.cw_len = cw_len
-                            self._rebuild_cw_set()
-                            cw_set_valid = True
-                        s_num = 0
-                        for code in cw_set:
-                            tw_c = tw_count[code]
-                            if tw_c:
-                                s_num += min(cw_count[code] * tw_len, tw_c * cw_len)
-                        if cw_len == cw_cap and tw_len == tw_cap:
-                            s_dirty = False
-                    similarity = (
-                        s_num / (cw_len * tw_len) if cw_len and tw_len else 0.0
-                    )
-                else:
-                    similarity = shared / distinct_cw if distinct_cw else 0.0
-                if threshold_analyzer:
-                    new_in_phase = similarity >= threshold
-                elif in_phase and stat_count:
-                    new_in_phase = similarity >= (stat_total / stat_count) - delta
-                else:
-                    new_in_phase = similarity >= enter_threshold
-
-            # ---- state transitions (Figure 3) ----------------------------
-            if not in_phase and new_in_phase:
-                self.consumed = consumed
-                self.cw_len = cw_len
-                self.tw_len = tw_len
-                self.growing = growing
-                anchor_abs = self._anchor_and_resize()
-                cw_len = self.cw_len
-                tw_len = self.tw_len
-                growing = self.growing
-                self._recount_cw()
-                distinct_cw = self.distinct_cw
-                shared = self.shared
-                s_dirty = True
-                if weighted:
-                    # The Adaptive resize may have moved CW elements out.
-                    cw_set_valid = False
-                stat_count = 1
-                stat_total = similarity
-                stat_min = similarity if similarity < 1.0 else 1.0
-                stat_max = similarity if similarity > 0.0 else 0.0
-                tracker.enter(consumed, consumed - group_len, anchor_abs)
-            elif in_phase and not new_in_phase:
-                phase_mean = stat_total / stat_count if stat_count else 0.0
-                tracker.exit(consumed, consumed - group_len, phase_mean)
-                self.consumed = consumed
-                self.cw_len = cw_len
-                self.tw_len = tw_len
-                self._clear_and_seed(group_len)
-                cw_count = self.cw_count
-                tw_count = self.tw_count
-                cw_len = self.cw_len
-                tw_len = self.tw_len
-                cw_set_valid = self.cw_set_valid
-                filled = False
-                growing = False
-                distinct_cw = self.distinct_cw
-                shared = self.shared
-                s_num = 0
-                s_dirty = True
-                stat_total = 0.0
-                stat_count = 0
-                stat_min = 1.0
-                stat_max = 0.0
-            elif in_phase:
-                stat_total += similarity
-                stat_count += 1
-                if similarity < stat_min:
-                    stat_min = similarity
-                if similarity > stat_max:
-                    stat_max = similarity
-
-            if new_in_phase:
-                states[group_start:group_end] = b"\x01" * group_len
-
-            in_phase = new_in_phase
-            group_start = group_end
-
-        # ---- sync the scalars back ---------------------------------------
-        self.consumed = consumed
-        self.cw_len = cw_len
-        self.tw_len = tw_len
-        self.filled = filled
-        self.growing = growing
-        self.in_phase = in_phase
-        self.distinct_cw = distinct_cw
-        self.shared = shared
-        self.s_num = s_num
-        self.s_dirty = s_dirty
-        self.cw_set_valid = cw_set_valid
-        self.stat_total = stat_total
-        self.stat_count = stat_count
-        self.stat_min = stat_min
-        self.stat_max = stat_max
-
-    # -- state sync-back ------------------------------------------------------
-
-    def finalize(self) -> None:
-        """Rebuild the runtime's model/analyzer state from the flat state.
-
-        After this, a checkpoint of the runtime is bit-identical to one
-        taken after the legacy paths consumed the same stream, and the
-        legacy paths can continue from it.  Call exactly once, after the
-        last :meth:`advance`.
-        """
-        if self._finalized:
-            raise RuntimeError("DenseAdvancer.finalize() called twice")
-        self._finalized = True
-        runtime = self.runtime
-        model = runtime.model
-        consumed = self.consumed
-        cw_start = consumed - self.cw_len
-        tw_start = cw_start - self.tw_len
-        # Replay through the add hooks (TW first, like restore) so the
-        # model's own incremental aggregates are rebuilt exactly.
-        for element in self.data[tw_start:cw_start].tolist():
-            model._tw_add(element)
-        for element in self.data[cw_start:consumed].tolist():
-            model._cw_add(element)
-        model.consumed = consumed
-        model.filled = self.filled
-        model.growing = self.growing
-        stats = runtime.analyzer.stats
-        stats.total = self.stat_total
-        stats.count = self.stat_count
-        stats.minimum = self.stat_min
-        stats.maximum = self.stat_max
-        runtime.state = PhaseState.PHASE if self.in_phase else PhaseState.TRANSITION
-
-
-def run_dense(
-    runtime,
-    trace,
-    codes: Optional[List[int]] = None,
-    n_codes: Optional[int] = None,
-) -> np.ndarray:
-    """Run ``runtime`` over ``trace`` with the dense advancer.
-
-    Returns the bool state array; phases land in ``runtime.tracker`` and
-    the runtime's model/analyzer state is left exactly as the legacy
-    paths would leave it (the caller still runs ``runtime.finish``).
-
-    ``codes``/``n_codes`` let a :class:`~repro.core.bank.DetectorBank`
-    pass share one materialized dense-code list across all of its
-    members; by default they come from ``trace.dense_codes()``.
-    """
-    data = trace.array
-    total = int(data.size)
-    if codes is None or n_codes is None:
-        codes, n_codes = trace.dense_code_list()
-    advancer = DenseAdvancer(runtime, codes, n_codes, data)
-    buffer = bytearray(total)
-    advancer.advance(0, total, buffer)
-    advancer.finalize()
-    return np.frombuffer(bytes(buffer), dtype=np.uint8).astype(bool)
+    return run_vectorized(runtime, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,6 +423,8 @@ class SharedTraceKernels:
         self._codes: Optional[Tuple[np.ndarray, int]] = None
         self._step_ends: dict = {}
         self._series: dict = {}
+        self._marks: Optional[np.ndarray] = None
+        self._slots: Optional[np.ndarray] = None
 
     def codes(self) -> Tuple[np.ndarray, int]:
         """``(codes, n_codes)`` from the trace's cached dense remap."""
@@ -1058,6 +432,20 @@ class SharedTraceKernels:
             codes, values = self.trace.dense_codes()
             self._codes = (codes, int(values.size))
         return self._codes
+
+    def marks(self) -> np.ndarray:
+        """An all-False per-code scratch array for the walks' entry
+        anchor tests; each user clears whatever it sets."""
+        if self._marks is None:
+            self._marks = np.zeros(self.codes()[1], dtype=bool)
+        return self._marks
+
+    def slots(self) -> np.ndarray:
+        """A per-code int64 scratch array for numbering a span's local
+        code set; callers overwrite every entry they read."""
+        if self._slots is None:
+            self._slots = np.zeros(self.codes()[1], dtype=np.int64)
+        return self._slots
 
     def prev(self) -> np.ndarray:
         """Previous-occurrence links (cached on the trace itself)."""
@@ -1118,12 +506,10 @@ def run_vectorized(
 ) -> np.ndarray:
     """Run ``runtime`` over ``trace`` with the vectorized fast path.
 
-    Computes similarity series up front, then replays the detector's
-    decision sequence in episodes: find the next phase entry among
-    filled steps, find its exit, restart the filled-mask origin at the
-    flush point.  Constant-TW configs walk one precomputed series
-    (:func:`_walk_constant`); Adaptive-TW configs additionally scan each
-    phase's resized-window regime blockwise (:func:`_walk_adaptive`).
+    Computes the constant-geometry similarity series up front, then
+    replays the detector's decision sequence in episodes
+    (:func:`_walk`): find the next phase entry among filled steps, find
+    its exit, restart the filled-mask origin at the flush point.
     Phases (with anchor-corrected starts and exact mean similarities)
     land in ``runtime.tracker`` and the final model/analyzer state is
     reconstructed bit-identically; the caller still runs
@@ -1136,136 +522,140 @@ def run_vectorized(
         raise ValueError("runtime is not eligible for the vectorized kernel")
     if shared is None:
         shared = SharedTraceKernels(trace)
-    if runtime.config.trailing is TrailingPolicy.ADAPTIVE:
-        return _walk_adaptive(runtime, shared)
-    return _walk_constant(runtime, shared)
+    return _walk(runtime, shared)
 
 
-def _walk_constant(runtime, shared: SharedTraceKernels) -> np.ndarray:
-    """Episode walk for Constant-TW configs (all geometries/models)."""
-    from repro.core.runtime import DetectedPhase
+#: First block of the in-phase exit scans, in steps.  Phases are short
+#: on small windows, so scans start small and double up to
+#: :data:`_BLOCK_STEPS`.
+_FIRST_BLOCK_STEPS = 16
 
-    config = runtime.config
-    skip = config.skip_factor
-    cwc = config.cw_size
-    twc = config.effective_tw_size
-    fill_span = cwc + twc
-    threshold = runtime.analyzer.threshold
-    data = shared.data
-    total = shared.total
-    states = np.zeros(total, dtype=bool)
-    if total == 0:
-        return states
-    codes, _ = shared.codes()
-    step_ends = shared.step_ends(skip)
-    sims, _ = shared.series(
-        type(runtime.model) is WeightedSetModel, cwc, twc, skip
-    )
-    decisions = sims >= threshold
-    phase_steps = np.flatnonzero(decisions)
-    gap_steps = np.flatnonzero(~decisions)
 
-    tracker = runtime.tracker
-    rn_anchor = config.anchor is AnchorPolicy.RN
-    origin = 0
-    cursor = 0
-    open_entry = -1
-    while True:
-        first_filled = int(np.searchsorted(step_ends, origin + fill_span))
-        if first_filled < cursor:
-            first_filled = cursor
-        hit = int(np.searchsorted(phase_steps, first_filled))
-        if hit >= phase_steps.size:
-            break
-        entry = int(phase_steps[hit])
-        c_entry = int(step_ends[entry])
-        entry_len = c_entry - (int(step_ends[entry - 1]) if entry else 0)
-        detected_start = c_entry - entry_len
-        # Anchor over the entry step's windows (Constant trailing: the
-        # windows themselves are untouched).
-        cw_slice = codes[c_entry - cwc : c_entry]
-        tw_slice = codes[c_entry - fill_span : c_entry - cwc]
-        in_cw = np.isin(tw_slice, cw_slice)
-        if rn_anchor:
-            noisy = np.flatnonzero(~in_cw)
-            anchor = int(noisy[-1]) + 1 if noisy.size else 0
+class _ExitRule:
+    """One analyzer's decision bars, applied to precomputed similarities.
+
+    ``enter`` is the fixed entry bar: ``threshold`` for the Threshold
+    analyzer, ``enter_threshold`` for the Average analyzer.  In phase
+    the Threshold bar stays ``enter`` (``delta`` is ``None``); the
+    Average bar at each step is ``total / count - delta`` over the
+    phase's similarities so far.  ``total``/``count`` carry the open
+    phase's statistics across scan blocks for both analyzers — they
+    also give the phase mean.
+    """
+
+    __slots__ = ("enter", "delta", "total", "count")
+
+    def __init__(self, analyzer) -> None:
+        if type(analyzer) is ThresholdAnalyzer:
+            self.enter = analyzer.threshold
+            self.delta = None
         else:
-            hits = np.flatnonzero(in_cw)
-            anchor = int(hits[0]) if hits.size else twc
-        anchor_abs = (c_entry - fill_span) + anchor
-        corrected = anchor_abs if anchor_abs < detected_start else detected_start
-        drop = int(np.searchsorted(gap_steps, entry + 1))
-        if drop >= gap_steps.size:
-            open_entry = entry
-            tracker.open_detected = detected_start
-            tracker.open_corrected = corrected
-            states[detected_start:total] = True
-            break
-        exit_step = int(gap_steps[drop])
-        c_exit = int(step_ends[exit_step])
-        exit_len = c_exit - int(step_ends[exit_step - 1])
-        end = c_exit - exit_len
-        phase_sims = sims[entry:exit_step]
-        # cumsum is a sequential left-to-right accumulation — the same
-        # addition order as the incremental paths' running total.
-        phase_total = float(np.cumsum(phase_sims)[-1])
-        mean = phase_total / int(phase_sims.size)
-        tracker.phases.append(DetectedPhase(detected_start, corrected, end, mean))
-        states[detected_start:end] = True
-        origin = c_exit - min(exit_len, cwc)
-        cursor = exit_step + 1
+            self.enter = analyzer.enter_threshold
+            self.delta = analyzer.delta
+        self.total = 0.0
+        self.count = 0
 
-    # ---- reconstruct the final incremental state -------------------------
-    model = runtime.model
-    since_origin = total - origin
-    cw_len = since_origin if since_origin < cwc else cwc
-    tw_len = since_origin - cwc
-    if tw_len < 0:
-        tw_len = 0
-    elif tw_len > twc:
-        tw_len = twc
-    cw_start = total - cw_len
-    tw_start = cw_start - tw_len
-    for element in data[tw_start:cw_start].tolist():
-        model._tw_add(element)
-    for element in data[cw_start:total].tolist():
-        model._cw_add(element)
-    model.consumed = total
-    model.filled = since_origin >= fill_span
-    model.growing = False
-    if open_entry >= 0:
-        phase_sims = sims[open_entry:]
-        stats = runtime.analyzer.stats
-        stats.count = int(phase_sims.size)
-        stats.total = float(np.cumsum(phase_sims)[-1])
-        low = float(np.min(phase_sims))
-        high = float(np.max(phase_sims))
-        stats.minimum = low if low < 1.0 else 1.0
-        stats.maximum = high if high > 0.0 else 0.0
-        runtime.state = PhaseState.PHASE
-    else:
-        runtime.state = PhaseState.TRANSITION
-    return states
+    def open(self, entry_sim: float) -> None:
+        """Seed the statistics with the entry step (``0.0 + entry_sim``
+        is exactly ``entry_sim``, as in ``PhaseStats.add``)."""
+        self.total = entry_sim
+        self.count = 1
+
+    def first_below(self, blk: np.ndarray) -> int:
+        """Offset of the first similarity in ``blk`` below its bar, or
+        -1 when every step stays in phase.  The in-phase steps before
+        it are folded into ``(total, count)``.
+
+        ``np.cumsum`` seeded with the carried total performs exactly
+        ``PhaseStats.add``'s left-to-right additions; adding the block
+        to a separately summed prefix (or ``sum()``, which compensates
+        since Python 3.12) would not round the same way.
+        """
+        cum = np.concatenate(([self.total], blk)).cumsum()
+        if self.delta is None:
+            below = blk < self.enter
+        else:
+            bars = cum[:-1] / np.arange(self.count, self.count + blk.size)
+            bars -= self.delta
+            below = blk < bars
+        cut = int(below.argmax())
+        exited = bool(below[cut])
+        if not exited:
+            cut = int(blk.size)
+        self.total = float(cum[cut])
+        self.count += cut
+        return cut if exited else -1
+
+    def series_exit(
+        self, sims: np.ndarray, entry: int, gaps: Optional[np.ndarray]
+    ) -> int:
+        """First step after ``entry`` below its bar in a precomputed
+        series (-1 if the phase runs to the end), statistics folded.
+
+        A fixed bar takes the next of the precomputed below-bar
+        ``gaps``; the Average bar scans blockwise.
+        """
+        if self.delta is None:
+            drop = int(gaps.searchsorted(entry + 1))
+            exit_step = int(gaps[drop]) if drop < gaps.size else -1
+            stop = exit_step if exit_step >= 0 else int(sims.size)
+            self.total = float(sims[entry:stop].cumsum()[-1])
+            self.count = stop - entry
+            return exit_step
+        s = entry + 1
+        size = _FIRST_BLOCK_STEPS
+        while s < sims.size:
+            cut = self.first_below(sims[s : s + size])
+            if cut >= 0:
+                return s + cut
+            s += size
+            size = min(size * 2, _BLOCK_STEPS)
+        return -1
 
 
-def _walk_adaptive(runtime, shared: SharedTraceKernels) -> np.ndarray:
-    """Episode walk for Adaptive-TW configs.
+def _anchor(
+    codes: np.ndarray, marks: np.ndarray, c_entry: int, cwc: int, twc: int,
+    rn_anchor: bool,
+) -> int:
+    """Anchor offset into the entry step's full, pre-resize TW.
+
+    RN: one past the TW's last element absent from the CW (0 if none).
+    LNN: the TW's first element present in the CW (``twc`` if none).
+    ``marks`` is an all-False per-code scratch array; CW membership is
+    one scatter and one gather on it, and it is cleared again before
+    returning.
+    """
+    cw_slice = codes[c_entry - cwc : c_entry]
+    marks[cw_slice] = True
+    in_cw = marks[codes[c_entry - cwc - twc : c_entry - cwc]]
+    marks[cw_slice] = False
+    if rn_anchor:
+        backwards = in_cw[::-1]
+        last_noisy = int(backwards.argmin())  # counted from the right
+        return 0 if backwards[last_noisy] else twc - last_noisy
+    first_hit = int(in_cw.argmax())
+    return first_hit if in_cw[first_hit] else twc
+
+
+def _walk(runtime, shared: SharedTraceKernels) -> np.ndarray:
+    """Episode walk for every vectorized configuration.
 
     Outside phases the Adaptive detector is indistinguishable from the
-    Constant one (the TW only grows while in phase), so transition
-    regimes reuse the cached constant-geometry series for entry search
-    and entry similarity.  Each phase entry then fixes the episode's
-    resized-window geometry exactly: with anchor offset ``anchor``
-    (computed over the pre-resize windows, as the reference path does),
-    the TW's left edge pins at ``A = anchor_abs`` for the whole phase
-    and the CW's left edge starts at ``L = c_entry - cwc + moved``
-    (``moved = min(anchor, cwc-1)`` for SLIDE, 0 for MOVE).  At any
-    later step end ``c`` the windows are pure slice functions of
-    ``(A, L, c)``: ``cw_start = max(L, c - cwc)``, CW =
-    ``[cw_start, c)``, TW = ``[A, cw_start)``.  The per-episode scans
+    Constant one (the TW only grows while in phase), so every entry is
+    found on the cached constant-geometry series.  A Constant-TW phase
+    keeps reading that series up to its exit
+    (:meth:`_ExitRule.series_exit`).  An Adaptive-TW entry instead fixes
+    the episode's resized-window geometry exactly: with anchor offset
+    ``anchor`` (computed over the pre-resize windows, as the reference
+    path does), the TW's left edge pins at ``A = anchor_abs`` for the
+    whole phase and the CW's left edge starts at ``L = c_entry - cwc +
+    moved`` (``moved = min(anchor, cwc-1)`` for SLIDE, 0 for MOVE).  At
+    any later step end ``c`` the windows are pure slice functions of
+    ``(A, L, c)``: ``cw_start = max(L, c - cwc)``, CW = ``[cw_start,
+    c)``, TW = ``[A, cw_start)``.  The per-episode scans
     (:func:`_scan_phase_unweighted` / :func:`_scan_phase_weighted`)
-    vectorize those similarities blockwise with early exit at the first
-    below-threshold step, after which the flush restores constant
+    vectorize those similarities blockwise up to the first step below
+    the analyzer's bar, after which the flush restores constant
     geometry and the next episode begins.
     """
     from repro.core.runtime import DetectedPhase
@@ -1275,7 +665,6 @@ def _walk_adaptive(runtime, shared: SharedTraceKernels) -> np.ndarray:
     cwc = config.cw_size
     twc = config.effective_tw_size
     fill_span = cwc + twc
-    threshold = runtime.analyzer.threshold
     data = shared.data
     total = shared.total
     states = np.zeros(total, dtype=bool)
@@ -1283,136 +672,126 @@ def _walk_adaptive(runtime, shared: SharedTraceKernels) -> np.ndarray:
         return states
     codes, n_codes = shared.codes()
     step_ends = shared.step_ends(skip)
-    n_steps = int(step_ends.size)
     weighted = type(runtime.model) is WeightedSetModel
+    adaptive = config.trailing is TrailingPolicy.ADAPTIVE
     sims, counts = shared.series(weighted, cwc, twc, skip)
-    phase_steps = np.flatnonzero(sims >= threshold)
-    prev = None if weighted else shared.prev()
-    distinct_all = counts[0] if counts is not None else None
-    base_counts = np.zeros(n_codes, dtype=np.int64) if weighted else None
+    rule = _ExitRule(runtime.analyzer)
+    entries = (sims >= rule.enter).nonzero()[0]
+    gaps = None
+    if adaptive:
+        prev = shared.prev()
+        distinct_all = counts[0] if counts is not None else None
+        base_counts = np.zeros(n_codes, dtype=np.int64) if weighted else None
+    elif rule.delta is None:
+        gaps = (sims < rule.enter).nonzero()[0]
+    marks = shared.marks()
 
     tracker = runtime.tracker
     rn_anchor = config.anchor is AnchorPolicy.RN
     slide = config.resize is ResizePolicy.SLIDE
     origin = 0
     cursor = 0
-    open_phase = None
-    while True:
-        first_filled = int(np.searchsorted(step_ends, origin + fill_span))
-        if first_filled < cursor:
-            first_filled = cursor
-        hit = int(np.searchsorted(phase_steps, first_filled))
-        if hit >= phase_steps.size:
+    open_sims = None  # the similarities of a phase open at the trace end
+    pinned = None  # its (tw_left, cw_left) if the TW is Adaptive
+    while origin + fill_span <= total:
+        # First filled step: the first step end >= origin + fill_span.
+        first_filled = -(-(origin + fill_span) // skip) - 1
+        hit = int(entries.searchsorted(max(first_filled, cursor)))
+        if hit >= entries.size:
             break
-        entry = int(phase_steps[hit])
+        entry = int(entries[hit])
         c_entry = int(step_ends[entry])
-        entry_len = c_entry - (int(step_ends[entry - 1]) if entry else 0)
-        detected_start = c_entry - entry_len
-        # Anchor over the entry step's pre-resize windows (the reference
-        # path anchors before anchor_and_resize mutates them).
-        cw_slice = codes[c_entry - cwc : c_entry]
-        tw_slice = codes[c_entry - fill_span : c_entry - cwc]
-        in_cw = np.isin(tw_slice, cw_slice)
-        if rn_anchor:
-            noisy = np.flatnonzero(~in_cw)
-            anchor = int(noisy[-1]) + 1 if noisy.size else 0
-        else:
-            hits = np.flatnonzero(in_cw)
-            anchor = int(hits[0]) if hits.size else twc
+        detected_start = entry * skip
+        anchor = _anchor(codes, marks, c_entry, cwc, twc, rn_anchor)
         anchor_abs = (c_entry - fill_span) + anchor
         corrected = anchor_abs if anchor_abs < detected_start else detected_start
-        moved = min(anchor, cwc - 1) if slide else 0
-        tw_left = anchor_abs
-        cw_left = c_entry - cwc + moved
-        entry_sim = float(sims[entry])
-        if weighted:
-            exit_step, episode_sims = _scan_phase_weighted(
-                codes, n_codes, base_counts, step_ends, entry, entry_sim,
-                tw_left, cw_left, cwc, threshold, n_steps,
-            )
+        rule.open(float(sims[entry]))
+        if adaptive:
+            tw_left = anchor_abs
+            cw_left = c_entry - cwc + (min(anchor, cwc - 1) if slide else 0)
+            if weighted:
+                exit_step, parts = _scan_phase_weighted(
+                    codes, prev, shared.slots(), base_counts, step_ends,
+                    entry, tw_left, cw_left, cwc, rule,
+                )
+            else:
+                exit_step, parts = _scan_phase_unweighted(
+                    prev, distinct_all, step_ends, entry,
+                    tw_left, cw_left, cwc, total, rule,
+                )
         else:
-            exit_step, episode_sims = _scan_phase_unweighted(
-                codes, prev, distinct_all, step_ends, entry, entry_sim,
-                tw_left, cw_left, cwc, threshold, total, n_steps,
-            )
+            exit_step = rule.series_exit(sims, entry, gaps)
         if exit_step < 0:
-            open_phase = (tw_left, cw_left, episode_sims)
+            if adaptive:
+                pinned = (tw_left, cw_left)
+                open_sims = [sims[entry : entry + 1]] + parts
+            else:
+                open_sims = [sims[entry:]]
             tracker.open_detected = detected_start
             tracker.open_corrected = corrected
             states[detected_start:total] = True
             break
         c_exit = int(step_ends[exit_step])
-        exit_len = c_exit - int(step_ends[exit_step - 1])
-        end = c_exit - exit_len
-        # cumsum is a sequential left-to-right accumulation — the same
-        # addition order as the incremental paths' running total.
-        phase_total = float(np.cumsum(episode_sims)[-1])
-        mean = phase_total / int(episode_sims.size)
-        tracker.phases.append(DetectedPhase(detected_start, corrected, end, mean))
+        end = exit_step * skip
+        tracker.phases.append(
+            DetectedPhase(detected_start, corrected, end, rule.total / rule.count)
+        )
         states[detected_start:end] = True
-        origin = c_exit - min(exit_len, cwc)
+        origin = c_exit - min(c_exit - end, cwc)
         cursor = exit_step + 1
 
     # ---- reconstruct the final incremental state -------------------------
     model = runtime.model
-    if open_phase is not None:
-        tw_left, cw_left, episode_sims = open_phase
-        cw_start = max(cw_left, total - cwc)
-        for element in data[tw_left:cw_start].tolist():
-            model._tw_add(element)
-        for element in data[cw_start:total].tolist():
-            model._cw_add(element)
-        model.consumed = total
+    if pinned is not None:
+        tw_start = pinned[0]
+        cw_start = max(pinned[1], total - cwc)
         model.filled = True
         model.growing = True
+    else:
+        since_origin = total - origin
+        cw_len = since_origin if since_origin < cwc else cwc
+        tw_len = min(max(since_origin - cwc, 0), twc)
+        cw_start = total - cw_len
+        tw_start = cw_start - tw_len
+        model.filled = since_origin >= fill_span
+        model.growing = False
+    for element in data[tw_start:cw_start].tolist():
+        model._tw_add(element)
+    for element in data[cw_start:total].tolist():
+        model._cw_add(element)
+    model.consumed = total
+    if open_sims is not None:
+        episode_sims = np.concatenate(open_sims)
         stats = runtime.analyzer.stats
-        stats.count = int(episode_sims.size)
-        stats.total = float(np.cumsum(episode_sims)[-1])
+        stats.count = rule.count
+        stats.total = rule.total
         low = float(np.min(episode_sims))
         high = float(np.max(episode_sims))
         stats.minimum = low if low < 1.0 else 1.0
         stats.maximum = high if high > 0.0 else 0.0
         runtime.state = PhaseState.PHASE
     else:
-        since_origin = total - origin
-        cw_len = since_origin if since_origin < cwc else cwc
-        tw_len = since_origin - cwc
-        if tw_len < 0:
-            tw_len = 0
-        elif tw_len > twc:
-            tw_len = twc
-        cw_start = total - cw_len
-        tw_start = cw_start - tw_len
-        for element in data[tw_start:cw_start].tolist():
-            model._tw_add(element)
-        for element in data[cw_start:total].tolist():
-            model._cw_add(element)
-        model.consumed = total
-        model.filled = since_origin >= fill_span
-        model.growing = False
         runtime.state = PhaseState.TRANSITION
     return states
 
 
 def _scan_phase_unweighted(
-    codes: np.ndarray,
     prev: np.ndarray,
     distinct_all: np.ndarray,
     step_ends: np.ndarray,
     entry: int,
-    entry_sim: float,
     tw_left: int,
     cw_left: int,
     cwc: int,
-    threshold: float,
     total: int,
-    n_steps: int,
-) -> Tuple[int, np.ndarray]:
+    rule: _ExitRule,
+) -> Tuple[int, List[np.ndarray]]:
     """Blockwise in-phase unweighted similarities for one episode.
 
     Geometry per step end ``c``: CW = ``[max(L, c-cwc), c)``, TW =
     ``[A, max(L, c-cwc))`` with ``A = tw_left``, ``L = cw_left``.  Two
-    regimes:
+    regimes, split per block by one ``searchsorted`` (step ends are
+    sorted):
 
     - *refill* (``c <= L + cwc``): the CW is still refilling from
       ``L``.  An occurrence ``i`` in ``[L, c)`` is a distinct CW member
@@ -1420,136 +799,137 @@ def _scan_phase_unweighted(
       shared with the TW iff additionally ``prev[i] >= A`` — its latest
       earlier occurrence is the TW's membership witness.  Both counts
       are prefix sums over ``prev[L : L+cwc]``, computed once per
-      episode.
+      episode, and only if a step falls in the regime (MOVE episodes
+      never refill).
     - *slide* (``c > L + cwc``): the CW is the plain trailing window at
-      start ``l = c - cwc``, so ``distinct(l)`` is the globally shared
-      per-window-start array, and ``shared(l)`` is the same interval-
-      stabbing count as the constant path but with the unbounded-TW
-      membership filter ``prev[i] >= A`` — accumulated per block with
-      difference arrays.
+      start ``l = c - cwc``, so ``distinct(l)`` — the occurrences ``i``
+      in ``[l, l+cwc)`` with ``prev[i] < l`` — is the globally shared
+      per-window-start array.  Since ``A <= l``, ``shared(l)`` is
+      ``distinct(l)`` minus those with ``prev[i] < A``: one prefix
+      count per block.
 
-    Returns ``(exit_step, episode_sims)`` where ``exit_step`` is the
-    first step with similarity below ``threshold`` (or -1 if the phase
-    stays open to the trace end) and ``episode_sims`` the in-phase
-    similarities from ``entry`` up to (excluding) the exit.
+    Returns ``(exit_step, parts)``: ``exit_step`` is the first step
+    below ``rule``'s bar (-1 if the phase stays open to the trace end)
+    and ``parts`` the in-phase similarities after ``entry`` up to
+    (excluding) the exit, blockwise.
     """
-    parts = [np.array([entry_sim])]
-    seg_prev = prev[cw_left : min(cw_left + cwc, total)]
-    rep = seg_prev < cw_left
-    d_cum = np.concatenate(([0], np.cumsum(rep)))
-    s_cum = np.concatenate(([0], np.cumsum(rep & (seg_prev >= tw_left))))
+    parts: List[np.ndarray] = []
+    n_steps = int(step_ends.size)
+    refill_end = cw_left + cwc
+    d_cum = s_cum = None
     s = entry + 1
+    size = _FIRST_BLOCK_STEPS
     while s < n_steps:
-        b1 = min(s + _BLOCK_STEPS, n_steps)
-        ends_blk = step_ends[s:b1]
+        ends_blk = step_ends[s : s + size]
         blk = np.empty(ends_blk.size, dtype=np.float64)
-        refill = ends_blk <= cw_left + cwc
-        if refill.any():
-            r = ends_blk[refill] - cw_left
+        split = int(ends_blk.searchsorted(refill_end, side="right"))
+        if split:
+            if d_cum is None:
+                seg_prev = prev[cw_left : min(refill_end, total)]
+                rep = seg_prev < cw_left
+                d_cum = np.concatenate(([0], rep.cumsum()))
+                s_cum = np.concatenate(([0], (rep & (seg_prev >= tw_left)).cumsum()))
+            r = ends_blk[:split] - cw_left
             # d_cum[r] >= 1 always: the CW's first element (offset
             # cw_left) trivially has prev < cw_left.
-            blk[refill] = s_cum[r] / d_cum[r]
-        if not refill.all():
-            sl = ~refill
-            ls = ends_blk[sl] - cwc
+            blk[:split] = s_cum[r] / d_cum[r]
+        if split < ends_blk.size:
+            ls = ends_blk[split:] - cwc
             l_min = int(ls[0])
-            l_max = int(ls[-1])
-            idx = np.arange(l_min, l_max + cwc, dtype=np.int64)
-            p = prev[l_min : l_max + cwc]
-            lo = np.maximum(p, idx - cwc) + 1
-            np.maximum(lo, l_min, out=lo)
-            hi = np.minimum(idx, l_max)
-            ok = (p >= tw_left) & (lo <= hi)
-            width = l_max - l_min + 1
-            add = np.bincount(lo[ok] - l_min, minlength=width + 1)
-            rem = np.bincount(hi[ok] + 1 - l_min, minlength=width + 1)
-            shared_l = np.cumsum(add[:width] - rem[:width])
-            blk[sl] = shared_l[ls - l_min] / distinct_all[ls]
-        bad = np.flatnonzero(blk < threshold)
-        if bad.size:
-            cut = int(bad[0])
-            if cut:
-                parts.append(blk[:cut])
-            return s + cut, np.concatenate(parts)
+            # Occurrences before the TW: prefix counts of prev < A.
+            stale = np.concatenate(
+                ([0], (prev[l_min : int(ls[-1]) + cwc] < tw_left).cumsum())
+            )
+            rel = ls - l_min
+            distinct = distinct_all[ls]
+            blk[split:] = (distinct - (stale[rel + cwc] - stale[rel])) / distinct
+        cut = rule.first_below(blk)
+        if cut >= 0:
+            parts.append(blk[:cut])
+            return s + cut, parts
         parts.append(blk)
-        s = b1
-    return -1, np.concatenate(parts)
+        s += int(ends_blk.size)
+        size = min(size * 2, _BLOCK_STEPS)
+    return -1, parts
 
 
 def _scan_phase_weighted(
     codes: np.ndarray,
-    n_codes: int,
+    prev: np.ndarray,
+    slots: np.ndarray,
     base_counts: np.ndarray,
     step_ends: np.ndarray,
     entry: int,
-    entry_sim: float,
     tw_left: int,
     cw_left: int,
     cwc: int,
-    threshold: float,
-    n_steps: int,
-) -> Tuple[int, np.ndarray]:
+    rule: _ExitRule,
+) -> Tuple[int, List[np.ndarray]]:
     """Blockwise in-phase weighted similarities for one episode.
 
-    Same geometry as :func:`_scan_phase_unweighted`.  The growing TW's
-    per-code counts split as ``tw_e = base_counts[e] + occ[cw_start]``:
-    ``base_counts`` (a reusable per-code vector, advanced as the CW's
-    left edge passes elements into the TW for good) covers
-    ``[A, block_lo)`` and the block's cumulative occurrence matrix
-    covers the rest, so each block is one ``np.minimum`` reduction over
-    its local code set — a code absent from the block has ``cw_e = 0``
-    and contributes nothing, which keeps the restriction exact.  The
-    numerator ``sum_e min(cw_e * tw_len, tw_e * cw_len)`` is a pure
-    integer sum, so any evaluation order is bit-exact; the single
-    float division matches the fused loop's.  ``base_counts`` must
-    arrive all-zero and is re-zeroed (sparsely) before returning.
+    Same geometry and return value as :func:`_scan_phase_unweighted`.
+    Each block covers the span ``[p_lo, p_hi)`` from its first CW start
+    to its last step end, with a cumulative occurrence matrix over the
+    span's local code set (the codes whose ``prev`` link falls before
+    ``p_lo``, numbered through the per-code ``slots`` scratch).  The
+    growing TW's per-code counts split as ``tw_e = base_counts[e] +
+    occ[cw_start]``: ``base_counts`` (a reusable per-code vector,
+    advanced as the CW's left edge passes elements into the TW for
+    good) covers ``[A, p_lo)``, so each block is one ``np.minimum``
+    reduction over its local code set — a code absent from the block
+    has ``cw_e = 0`` and contributes nothing, which keeps the
+    restriction exact.  The numerator ``sum_e min(cw_e * tw_len, tw_e *
+    cw_len)`` is a pure integer sum, so any evaluation order is
+    bit-exact; the single float division matches the fused loop's.
+    ``base_counts`` must arrive all-zero and is re-zeroed before
+    returning.
     """
-    parts = [np.array([entry_sim])]
+    parts: List[np.ndarray] = []
+    n_steps = int(step_ends.size)
     covered = tw_left
     exit_step = -1
     s = entry + 1
+    size = _FIRST_BLOCK_STEPS
     while s < n_steps:
-        take = min(_BLOCK_STEPS, n_steps - s)
+        take = min(size, n_steps - s)
         while True:
             b1 = s + take
             ends_blk = step_ends[s:b1]
             cw_start = np.maximum(cw_left, ends_blk - cwc)
             p_lo = int(cw_start[0])
-            p_cov = int(ends_blk[-1])
-            occ, uniq = _occurrence_matrix(codes, p_lo, p_cov)
-            if take == 1 or occ.size <= _OCC_CELL_LIMIT:
+            p_hi = int(ends_blk[-1])
+            uniq = codes[p_lo:p_hi][prev[p_lo:p_hi] < p_lo]
+            if take == 1 or (p_hi - p_lo + 1) * uniq.size <= _OCC_CELL_LIMIT:
                 break
             take = max(1, take // 2)
+        slots[uniq] = np.arange(uniq.size)
+        occ = np.zeros((p_hi - p_lo + 1, uniq.size), dtype=np.int64)
+        occ[np.arange(1, p_hi - p_lo + 1), slots[codes[p_lo:p_hi]]] = 1
+        occ.cumsum(axis=0, out=occ)
         if covered < p_lo:
-            base_counts += np.bincount(
-                codes[covered:p_lo], minlength=n_codes
-            )
+            np.add.at(base_counts, codes[covered:p_lo], 1)
             covered = p_lo
         cw_len = ends_blk - cw_start
         tw_len = cw_start - tw_left
         start_rows = occ[cw_start - p_lo]
         cw_e = occ[ends_blk - p_lo] - start_rows
         tw_e = base_counts[uniq][None, :] + start_rows
-        snum = np.minimum(
-            cw_e * tw_len[:, None], tw_e * cw_len[:, None]
-        ).sum(axis=1)
+        snum = np.minimum(cw_e * tw_len[:, None], tw_e * cw_len[:, None]).sum(axis=1)
         denom = cw_len * tw_len
         blk = np.divide(
             snum, denom, out=np.zeros(snum.size, dtype=np.float64),
             where=denom > 0,
         )
-        bad = np.flatnonzero(blk < threshold)
-        if bad.size:
-            cut = int(bad[0])
-            if cut:
-                parts.append(blk[:cut])
+        cut = rule.first_below(blk)
+        if cut >= 0:
+            parts.append(blk[:cut])
             exit_step = s + cut
             break
         parts.append(blk)
         s = b1
-    if covered > tw_left:
-        base_counts[np.unique(codes[tw_left:covered])] = 0
-    return exit_step, np.concatenate(parts)
+        size = min(size * 2, _BLOCK_STEPS)
+    base_counts[codes[tw_left:covered]] = 0
+    return exit_step, parts
 
 
 def run_bank_batched(

@@ -11,8 +11,8 @@ Two models are provided, both built on :class:`~repro.core.windows.WindowPair`:
   relative weights.
 
 These classes are the semantic reference for the model policy.  The
-array-native kernels of :mod:`repro.core.kernels` mirror the same
-bookkeeping on flat count buffers over dense codes (bit-identical,
+array-native kernels of :mod:`repro.core.kernels` compute the same
+similarities with array operations over dense codes (bit-identical,
 pinned by the kernel equivalence suites); any change to similarity
 semantics here must be reflected there.
 """

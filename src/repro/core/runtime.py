@@ -39,10 +39,11 @@ share the runtime's state:
   lists entirely.
 
 Whole-trace runs additionally route through the array-native kernels of
-:mod:`repro.core.kernels` when the configuration qualifies — dense
-element codes over flat count buffers, or a fully vectorized pass for
-non-adaptive windows — producing bit-identical results (same states,
-phases, similarity values, and checkpoints) at a fraction of the cost.
+:mod:`repro.core.kernels` when the configuration qualifies — a
+vectorized pass over dense element codes that replays the decisions
+phase episode by phase episode — producing bit-identical results (same
+states, phases, similarity values, and checkpoints) at a fraction of
+the cost.
 
 The runtime's state is serializable: :meth:`DetectorRuntime.checkpoint`
 returns a JSON-safe dict (the versioned **v1** windowed schema, see
@@ -891,11 +892,8 @@ class DetectorRuntime(DecisionEngine):
         # DetectedPhase, so a top-level import would be circular.
         from repro.core import kernels as kernel_mod
 
-        path = kernel_mod.kernel_path(self, kernels)
-        if path == "vectorized":
+        if kernel_mod.kernel_path(self, kernels) == "vectorized":
             return kernel_mod.run_vectorized(self, trace)
-        if path == "dense":
-            return kernel_mod.run_dense(self, trace)
         return None
 
     def _run_fused(self, data, total: int, skip: int) -> np.ndarray:

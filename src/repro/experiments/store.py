@@ -19,9 +19,9 @@ downstream depends on completion order.
 
 **Leases.**  Executors sharing a results directory (including separate
 machines on a shared filesystem) divide work through lease files:
-``claim`` creates ``<key>.lease`` with ``O_CREAT | O_EXCL`` — exactly
-one creator wins — and a claim older than its TTL can be stolen, so a
-dead executor never strands a chunk.  A stolen lease can transiently
+``claim`` publishes ``<key>.lease``, payload and all, with an
+exclusive ``os.link`` — exactly one creator wins — and a claim older
+than its TTL can be stolen, so a dead executor never strands a chunk.  A stolen lease can transiently
 give two executors the same chunk; that is safe (idempotent writes),
 only mildly wasteful, and documented in ``docs/formats.md``.
 
@@ -45,6 +45,7 @@ import json
 import os
 import socket
 import sqlite3
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -209,14 +210,22 @@ def _owner_id() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
 
 
+def _private_tmp(lease: Path, purpose: str) -> Path:
+    """A temp path next to ``lease`` that no other thread or process
+    shares (executors in one process race on the same lease too)."""
+    return lease.with_name(
+        f"{lease.name}.{os.getpid()}.{threading.get_ident()}.{purpose}"
+    )
+
+
 class ChunkStore:
     """Atomic, content-addressed chunk files plus lease files.
 
     Lives at ``<cache_dir>/sweep-<profile>.chunks/``; one ``<key>.chunk``
     per completed work item, one ``<key>.lease`` per claimed one, and
     ``_<name>.lease`` for named locks (compaction).  All mutation is
-    tmp-file + ``os.replace`` or ``O_CREAT | O_EXCL``, so the store is
-    safe for concurrent executors on a shared filesystem.
+    tmp-file + ``os.replace`` or an exclusive ``os.link``, so the store
+    is safe for concurrent executors on a shared filesystem.
     """
 
     def __init__(self, cache_dir: PathLike, profile_name: str) -> None:
@@ -328,25 +337,29 @@ class ChunkStore:
     def claim(self, key: str, ttl: float = DEFAULT_LEASE_TTL) -> bool:
         """Try to claim ``key``; True if this executor now holds it.
 
-        Exactly one concurrent caller wins the ``O_EXCL`` create.  An
-        existing lease past its TTL is stolen with an atomic replace;
-        two simultaneous stealers can both believe they won, which is
-        accepted — chunk writes are idempotent, so the worst case is
-        one chunk evaluated twice, never corrupted or lost.
+        The payload is written to a private temp file first and then
+        published with ``os.link``, which fails if the lease exists —
+        so exactly one concurrent caller wins, and nobody ever sees a
+        lease without its payload (an empty one would read as expired
+        and be stolen).  An existing lease past its TTL is stolen with
+        an atomic replace; two simultaneous stealers can both believe
+        they won, which is accepted — chunk writes are idempotent, so
+        the worst case is one chunk evaluated twice, never corrupted or
+        lost.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         lease = self.lease_path(key)
         payload = json.dumps(
             {"owner": self.owner, "acquired": time.time(), "ttl": ttl}
         )
+        tmp = _private_tmp(lease, "claim")
+        tmp.write_text(payload, encoding="utf-8")
         try:
-            fd = os.open(lease, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.link(tmp, lease)
         except FileExistsError:
             return self._steal(lease, payload)
-        try:
-            os.write(fd, payload.encode("utf-8"))
         finally:
-            os.close(fd)
+            tmp.unlink()
         return True
 
     def _steal(self, lease: Path, payload: str) -> bool:
@@ -359,7 +372,7 @@ class ChunkStore:
             expires = 0.0
         if time.time() < expires:
             return False
-        tmp = lease.with_name(lease.name + f".{os.getpid()}.steal")
+        tmp = _private_tmp(lease, "steal")
         try:
             tmp.write_text(payload, encoding="utf-8")
             os.replace(tmp, lease)

@@ -46,7 +46,7 @@ class BranchTrace:
         meta: optional free-form metadata dictionary.
     """
 
-    __slots__ = ("_data", "name", "meta", "_unique", "_codes", "_code_list", "_prev")
+    __slots__ = ("_data", "name", "meta", "_unique", "_codes", "_prev")
 
     def __init__(
         self,
@@ -67,7 +67,6 @@ class BranchTrace:
         # needs invalidation.
         self._unique: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._codes: Optional[np.ndarray] = None
-        self._code_list: Optional[list] = None
         self._prev: Optional[np.ndarray] = None
 
     # -- sequence protocol -------------------------------------------------
@@ -151,22 +150,6 @@ class BranchTrace:
             self._codes = codes
         return self._codes, values
 
-    def dense_code_list(self) -> Tuple[list, int]:
-        """The dense codes materialized once as a plain Python list.
-
-        Returns ``(codes_list, n_codes)``.  The incremental dense kernel
-        (:class:`~repro.core.kernels.DenseAdvancer`) indexes codes with
-        Python-level loops, where a list beats repeated ndarray item
-        access; the list is built once per trace and shared by every
-        bank batch instead of re-materialized per
-        :meth:`~repro.core.bank.DetectorBank.run` call.
-        """
-        if self._code_list is None:
-            codes, values = self.dense_codes()
-            self._code_list = codes.tolist()
-            return self._code_list, int(values.size)
-        return self._code_list, int(self.unique()[0].size)
-
     def prev_links(self) -> np.ndarray:
         """Previous-occurrence links: ``prev[i]`` is the index of the
         previous occurrence of ``array[i]`` (or -1 for first occurrences).
@@ -213,7 +196,6 @@ class BranchTrace:
             array.setflags(write=False)
         self._unique = (values, counts)
         self._codes = codes
-        self._code_list = None
 
     def stats(self) -> TraceStats:
         """Compute whole-trace summary statistics."""

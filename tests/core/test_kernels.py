@@ -15,11 +15,13 @@ from repro.core import (
     ResizePolicy,
     TrailingPolicy,
 )
+from repro.core.analyzers import AverageAnalyzer
 from repro.core.bank import DetectorBank
 from repro.core.engine import run_detector
 from repro.core.kernels import (
-    dense_eligible,
+    kernel_path,
     kernels_enabled,
+    run_bank_batched,
     run_dense,
     run_vectorized,
     vectorized_eligible,
@@ -80,19 +82,47 @@ def run_both(trace, config):
     return kernel, kernel_rt.checkpoint(), legacy, legacy_rt.checkpoint()
 
 
+def assert_identical_runs(trace, config):
+    """Kernel vs fused loop: states, phases and checkpoints.  Returns
+    the kernel result and checkpoint."""
+    kernel, kernel_cp, legacy, legacy_cp = run_both(trace, config)
+    label = config.describe()
+    assert np.array_equal(kernel.states, legacy.states), label
+    assert kernel.detected_phases == legacy.detected_phases, label
+    # Checkpoints serialize every piece of live state (windows, counts,
+    # stats, tracker); JSON equality pins them all, including float bit
+    # patterns.
+    assert json.dumps(kernel_cp, sort_keys=True) == json.dumps(
+        legacy_cp, sort_keys=True
+    ), label
+    return kernel, kernel_cp
+
+
+def average_configs(**overrides):
+    """Average-analyzer configs over both models, both trailing
+    policies, both resize policies and two geometries."""
+    configs = []
+    for geometry in (
+        dict(cw_size=30, skip_factor=30),
+        dict(cw_size=25, tw_size=40, skip_factor=1),
+    ):
+        for model in ModelKind:
+            for trailing in TrailingPolicy:
+                for resize in ResizePolicy:
+                    fields = dict(
+                        analyzer=AnalyzerKind.AVERAGE, model=model,
+                        trailing=trailing, resize=resize,
+                        delta=0.05, enter_threshold=0.5, **geometry,
+                    )
+                    fields.update(overrides)
+                    configs.append(DetectorConfig(**fields))
+    return configs
+
+
 class TestEquivalence:
     def test_full_config_matrix_bit_identical(self, trace):
         for config in matrix_configs():
-            kernel, kernel_cp, legacy, legacy_cp = run_both(trace, config)
-            label = config.describe()
-            assert np.array_equal(kernel.states, legacy.states), label
-            assert kernel.detected_phases == legacy.detected_phases, label
-            # Checkpoints serialize every piece of live state (windows,
-            # counts, stats, tracker); JSON equality pins them all,
-            # including float bit patterns.
-            assert json.dumps(kernel_cp, sort_keys=True) == json.dumps(
-                legacy_cp, sort_keys=True
-            ), label
+            assert_identical_runs(trace, config)
 
     def test_phase_means_bit_identical(self, trace):
         config = DetectorConfig(cw_size=60, skip_factor=60, threshold=0.5)
@@ -112,45 +142,115 @@ class TestEquivalence:
 
     def test_restored_checkpoints_continue_identically(self, trace):
         """A checkpoint taken after a kernel run restores into a runtime
-        that keeps advancing exactly like its legacy twin."""
-        config = DetectorConfig(
-            cw_size=40, skip_factor=8, trailing=TrailingPolicy.ADAPTIVE,
-            threshold=0.5,
-        )
-        _, kernel_cp, _, legacy_cp = run_both(trace, config)
-        restored_kernel = DetectorRuntime.restore(kernel_cp)
-        restored_legacy = DetectorRuntime.restore(legacy_cp)
+        that keeps advancing exactly like its legacy twin — Adaptive
+        trailing under both analyzers."""
+        configs = [
+            DetectorConfig(
+                cw_size=40, skip_factor=8, trailing=TrailingPolicy.ADAPTIVE,
+                threshold=0.5,
+            )
+        ] + average_configs(trailing=TrailingPolicy.ADAPTIVE)
         extra = (trace.array[:400] % 9).tolist()
-        groups = [extra[i : i + 8] for i in range(0, len(extra), 8)]
-        kernel_states = bytearray(len(extra))
-        legacy_states = bytearray(len(extra))
-        restored_kernel.advance(groups, kernel_states, 0)
-        restored_legacy.advance(groups, legacy_states, 0)
-        assert bytes(kernel_states) == bytes(legacy_states)
-        assert json.dumps(restored_kernel.checkpoint(), sort_keys=True) == (
-            json.dumps(restored_legacy.checkpoint(), sort_keys=True)
-        )
+        for config in configs:
+            _, kernel_cp, _, legacy_cp = run_both(trace, config)
+            restored_kernel = DetectorRuntime.restore(kernel_cp)
+            restored_legacy = DetectorRuntime.restore(legacy_cp)
+            skip = config.skip_factor
+            groups = [extra[i : i + skip] for i in range(0, len(extra), skip)]
+            kernel_states = bytearray(len(extra))
+            legacy_states = bytearray(len(extra))
+            restored_kernel.advance(groups, kernel_states, 0)
+            restored_legacy.advance(groups, legacy_states, 0)
+            assert bytes(kernel_states) == bytes(legacy_states), config.describe()
+            assert json.dumps(restored_kernel.checkpoint(), sort_keys=True) == (
+                json.dumps(restored_legacy.checkpoint(), sort_keys=True)
+            ), config.describe()
+
+
+class TestAverage:
+    """Average-analyzer configs on the vectorized walks, against the
+    fused loop, at the edges of the running-mean exit rule."""
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_delta_extremes(self, trace, delta):
+        for config in average_configs(delta=delta):
+            kernel, _ = assert_identical_runs(trace, config)
+            if delta == 1.0:
+                # The bar is mean - 1 <= 0: the first phase runs to the
+                # trace end (where finish() closes it).
+                assert len(kernel.detected_phases) == 1, config.describe()
+                assert kernel.detected_phases[0].end == len(trace)
+
+    @pytest.mark.parametrize("enter_threshold", [0.0, 1.0])
+    def test_enter_threshold_extremes(self, trace, enter_threshold):
+        for config in average_configs(enter_threshold=enter_threshold):
+            assert_identical_runs(trace, config)
+
+    def test_phase_open_at_trace_end(self):
+        builder = SyntheticTraceBuilder(seed=5)
+        builder.add_transition(200)
+        builder.add_phase(1_500, body_size=7)
+        tail = builder.build()[0]
+        for config in average_configs():
+            kernel, _ = assert_identical_runs(tail, config)
+            assert kernel.detected_phases[-1].end == len(tail), config.describe()
+            # Before finish() closes it, the open phase's running
+            # statistics (total, count, min, max) match the fused loop's.
+            kernel_rt = DetectorRuntime(config)
+            run_vectorized(kernel_rt, tail)
+            legacy_rt = DetectorRuntime(config)
+            skip = config.skip_factor
+            elements = tail.array.tolist()
+            legacy_rt.advance(
+                [elements[i : i + skip] for i in range(0, len(elements), skip)],
+                bytearray(len(elements)), 0,
+            )
+            kernel_cp = kernel_rt.checkpoint()
+            assert kernel_cp["state"] == "P", config.describe()
+            assert json.dumps(kernel_cp, sort_keys=True) == json.dumps(
+                legacy_rt.checkpoint(), sort_keys=True
+            ), config.describe()
+
+    def test_phase_longer_than_largest_scan_block(self):
+        from repro.core.kernels import _BLOCK_STEPS
+
+        builder = SyntheticTraceBuilder(seed=9)
+        builder.add_transition(150)
+        builder.add_phase(4 * _BLOCK_STEPS, body_size=4)
+        builder.add_transition(300)
+        long_phase = builder.build()[0]
+        for config in average_configs(skip_factor=1, cw_size=20, tw_size=None):
+            kernel, _ = assert_identical_runs(long_phase, config)
+            longest = max(
+                phase.end - phase.detected_start
+                for phase in kernel.detected_phases
+            )
+            assert longest > 2 * _BLOCK_STEPS, config.describe()
 
 
 class TestEligibility:
     def test_vectorized_covers_threshold_constant(self):
         runtime = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
         assert vectorized_eligible(runtime)
-        assert dense_eligible(runtime)
 
-    def test_average_analyzer_falls_back_to_dense(self):
-        runtime = DetectorRuntime(
-            DetectorConfig(cw_size=20, skip_factor=5, analyzer=AnalyzerKind.AVERAGE)
-        )
-        assert not vectorized_eligible(runtime)
-        assert dense_eligible(runtime)
+    def test_average_analyzer_is_vectorized(self):
+        for trailing in TrailingPolicy:
+            for model in ModelKind:
+                runtime = DetectorRuntime(
+                    DetectorConfig(
+                        cw_size=20, skip_factor=5, trailing=trailing,
+                        model=model, analyzer=AnalyzerKind.AVERAGE,
+                    )
+                )
+                assert vectorized_eligible(runtime)
+                assert kernel_path(runtime, kernels=True) == "vectorized"
+                assert kernel_path(runtime, kernels=False) == "legacy"
 
     def test_adaptive_trailing_is_vectorized(self):
         runtime = DetectorRuntime(
             DetectorConfig(cw_size=20, skip_factor=5, trailing=TrailingPolicy.ADAPTIVE)
         )
         assert vectorized_eligible(runtime)
-        assert dense_eligible(runtime)
 
     def test_weighted_vectorized_for_any_geometry(self):
         fixed = DetectorRuntime(
@@ -161,32 +261,51 @@ class TestEligibility:
             DetectorConfig(cw_size=30, skip_factor=7, model=ModelKind.WEIGHTED)
         )
         assert vectorized_eligible(offset)
-        assert dense_eligible(offset)
 
     def test_observed_runtime_ineligible(self):
         runtime = DetectorRuntime(
             DetectorConfig(cw_size=20, skip_factor=5), observer=MemorySink()
         )
         assert not vectorized_eligible(runtime)
-        assert not dense_eligible(runtime)
+        assert kernel_path(runtime, kernels=True) == "legacy"
+
+    @pytest.mark.parametrize("profile_name", ["quick", "default"])
+    def test_every_paper_grid_config_is_vectorized(self, profile_name):
+        from repro.experiments.config_space import PROFILES, paper_grid
+
+        profile = PROFILES[profile_name]
+        for spec in paper_grid(profile):
+            runtime = DetectorRuntime(spec.to_config(profile))
+            assert kernel_path(runtime, kernels=True) == "vectorized", spec
 
     def test_consumed_runtime_ineligible(self, trace):
         runtime = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
         states = bytearray(10)
         runtime.advance([trace.array[:10].tolist()], states, 0)
         assert not vectorized_eligible(runtime)
-        assert not dense_eligible(runtime)
+        assert kernel_path(runtime, kernels=True) == "legacy"
 
     def test_kernel_entry_points_reject_ineligible(self, trace):
-        runtime = DetectorRuntime(
-            DetectorConfig(cw_size=20, skip_factor=5, analyzer=AnalyzerKind.AVERAGE)
+        """Average configs are eligible; observed, restored and
+        custom-component runtimes are still rejected by every entry
+        point."""
+        average = DetectorConfig(
+            cw_size=20, skip_factor=5, analyzer=AnalyzerKind.AVERAGE
         )
-        with pytest.raises(ValueError):
-            run_vectorized(runtime, trace)
-        consumed = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
+        observed = DetectorRuntime(average, observer=MemorySink())
+        consumed = DetectorRuntime(average)
         consumed.advance([trace.array[:5].tolist()], bytearray(5), 0)
-        with pytest.raises(ValueError):
-            run_dense(consumed, trace)
+        restored = DetectorRuntime.restore(consumed.checkpoint())
+        custom = DetectorRuntime(average)
+        custom.analyzer = type("CustomAverage", (AverageAnalyzer,), {})(
+            average.delta, average.enter_threshold
+        )
+        for runtime in (observed, restored, custom):
+            for entry_point in (run_vectorized, run_dense):
+                with pytest.raises(ValueError):
+                    entry_point(runtime, trace)
+            with pytest.raises(ValueError):
+                run_bank_batched([runtime], trace)
 
 
 class TestSelection:

@@ -7,6 +7,7 @@ end-to-end class at the bottom drives real (tiny) sweeps.
 """
 
 import json
+import sys
 import threading
 
 import pytest
@@ -248,6 +249,38 @@ class TestLeases:
         for t in threads:
             t.join()
         assert len(wins) == 1
+
+    def test_claim_race_stress(self, tmp_path):
+        """Many short races with a tiny thread switch interval: a claim
+        must never be visible before its payload, or a racing claimer
+        reads it as expired and steals it (two winners)."""
+        store = ChunkStore(tmp_path, PROFILE)
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(50):
+                key = f"race{round_index}"
+                wins = []
+                barrier = threading.Barrier(8)
+
+                def contend():
+                    barrier.wait()
+                    if store.claim(key, ttl=60.0):
+                        wins.append(1)
+
+                threads = [threading.Thread(target=contend) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert len(wins) == 1, round_index
+        finally:
+            sys.setswitchinterval(saved)
+        # Only the published leases remain: no claim temp files leak.
+        assert sorted(path.suffix for path in store.root.iterdir()) == (
+            [".lease"] * 50
+        )
 
     def test_lock_is_mutually_exclusive(self, tmp_path):
         store = ChunkStore(tmp_path, PROFILE)

@@ -2,9 +2,9 @@
 
 The fused loop is itself pinned to the reference ``PhaseDetector`` by
 ``test_engine_properties``; these properties close the chain by pinning
-the kernels (dense advancer and the vectorized fast paths — constant,
-adaptive, and weighted walks, solo and through the batched bank
-advancer) to the fused loop across the full configuration space —
+the kernels (the vectorized fast paths — constant, adaptive, and
+weighted walks under both analyzers' exit rules, solo and through the
+batched bank advancer) to the fused loop across the full configuration space —
 states, phases, checkpoints, and checkpoint-restore-then-continue
 interleavings, including checkpoints taken mid-episode (inside an open
 phase, Adaptive TW still growing).
