@@ -35,14 +35,19 @@ rows through the episode-vectorized adaptive walk.  The Average rows
 are kernel-only: same-run floors in ``AVERAGE_KERNEL_MIN_SPEEDUPS``,
 outside the calibration-normalized aggregate.
 
-The bank rows interleave best-of-``BANK_INTERLEAVE`` sequential vs bank
-timings (the side order flips each round so drift and cache-warming
-bias cancel instead of landing on one side).  Two ratios are gated:
-the legacy lockstep row (both sides ``kernels=False``, shared-decode
-machinery, ``BANK_MIN_SPEEDUP``) and the batched-advancer row (both
-sides ``kernels=True``, per-signature series sharing via
-:func:`repro.core.kernels.run_bank_batched`,
-``BANK_BATCHED_MIN_SPEEDUP``).
+The bank rows time a ``BANK_SIZE``-member bank two ways.  The legacy
+row (``kernels=False``: every member runs sequentially on the fused
+loop) is gated by a calibration-normalized ceiling,
+``BANK_MAX_NORMALIZED`` plus ``--tolerance``; it divides by calibration
+samples taken in the same rounds as the bank samples, so host drift
+between the start of the run and the bank rows cancels.  The
+batched-advancer row (kernels on, per-signature series sharing via
+:func:`repro.core.kernels.run_bank_batched`) interleaves
+best-of-``BANK_INTERLEAVE`` sequential-kernel vs bank timings (the side
+order flips each round so drift and cache-warming bias cancel instead
+of landing on one side) and gates their ratio,
+``BANK_BATCHED_MIN_SPEEDUP``.  The store row's compaction fold is
+normalized the same way.
 
 The family rows time the decision-layer detectors (``focus``,
 ``newma``) on the same trace, giving them a calibration-normalized
@@ -133,11 +138,15 @@ FAMILY_CONFIGS = {
 #: Members of the multi-config bank measurement (one sweep-like batch).
 BANK_SIZE = 16
 
-#: The lockstep bank must beat the same configs run sequentially by at
-#: least this factor (same-run ratio).  Set from the flat skip-1 lane
-#: path (measured ~1.31x on the reference host); the previous effective
-#: floor was the ~1.07x a plain ratio > 1.0 check tolerated.
-BANK_MIN_SPEEDUP = 1.12
+#: Calibration-normalized ceiling on ``DetectorBank(_bank_configs())
+#: .run(trace, kernels=False)``, which runs every member sequentially on
+#: the fused loop (best-of-``BANK_INTERLEAVE`` over the best calibration
+#: sample of the same rounds).  Set from the same measurement of the
+#: configs run one by one through ``run_detector(..., kernels=False)``
+#: before the bank's lockstep lanes were removed: median of ten runs
+#: 21.61 (range 19.0-23.1) on a 2-core host, Python 3.11.  The check
+#: allows ``--tolerance`` on top, like the aggregate.
+BANK_MAX_NORMALIZED = 21.61
 
 #: The batched bank advancer (kernels on both sides, per-signature
 #: series sharing) must beat sequential kernel runs by at least this
@@ -227,46 +236,35 @@ def _bank_configs():
 
 
 def _measure_bank(trace, bank_configs):
-    """Both bank ratios, interleaved best-of-``BANK_INTERLEAVE``.
+    """The legacy bank's calibration and time, and the batched ratio's
+    two sides (best-of-``BANK_INTERLEAVE`` each).
 
-    Each round times sequential-vs-bank back to back and flips which
-    side goes first on alternate rounds, for both the legacy lockstep
-    ratio (``kernels=False`` both sides) and the batched-advancer ratio
-    (``kernels=True`` both sides).  Interleaving is the de-flake: the
-    old scheme timed all sequential samples under different cache/drift
-    conditions than the bank samples, and the recorded speedup swung
-    1.07x-1.36x run to run.
+    Each round times a calibration sample and the ``kernels=False``
+    bank, then the sequential-kernel and batched sides back to back,
+    flipping which of the pair goes first on alternate rounds so drift
+    and cache warming cancel out of the best-of ratio.
     """
-    seq_samples, bank_samples = [], []
-    seq_kernel_samples, batched_samples = [], []
     sides = {
-        "seq": lambda: [run_detector(trace, c, kernels=False)
-                        for c in bank_configs],
         "bank": lambda: DetectorBank(bank_configs).run(trace, kernels=False),
         "seq-kernel": lambda: [run_detector(trace, c, kernels=True)
                                for c in bank_configs],
-        "batched": lambda: DetectorBank(bank_configs).run(
-            trace, kernels=True, batched=True
-        ),
+        "batched": lambda: DetectorBank(bank_configs).run(trace, kernels=True),
     }
-    samples = {
-        "seq": seq_samples,
-        "bank": bank_samples,
-        "seq-kernel": seq_kernel_samples,
-        "batched": batched_samples,
-    }
+    samples = {side: [] for side in sides}
+    calibration = []
     for round_index in range(BANK_INTERLEAVE):
-        pairs = [("seq", "bank"), ("seq-kernel", "batched")]
-        for first, second in pairs:
-            if round_index % 2:
-                first, second = second, first
-            samples[first].append(_timed(sides[first]))
-            samples[second].append(_timed(sides[second]))
+        calibration.append(_timed(_calibration_workload))
+        samples["bank"].append(_timed(sides["bank"]))
+        pair = ["seq-kernel", "batched"]
+        if round_index % 2:
+            pair.reverse()
+        for side in pair:
+            samples[side].append(_timed(sides[side]))
     return (
-        min(seq_samples),
-        min(bank_samples),
-        min(seq_kernel_samples),
-        min(batched_samples),
+        min(calibration),
+        min(samples["bank"]),
+        min(samples["seq-kernel"]),
+        min(samples["batched"]),
     )
 
 
@@ -413,24 +411,27 @@ def _measure_telemetry(calibration):
     }
 
 
-#: The store rows: persistence throughput compares the legacy
-#: ordered-delivery parent loop (rows over the pipe -> from_row ->
-#: per-row cache_line append) against chunk-store compaction (bulk fold
-#: of pre-written chunk files + the SQLite ingest) over the same record
-#: set, interleaved best-of-``STORE_INTERLEAVE`` like the bank rows.
-#: The chunk files are written outside the timed region — in a real
-#: sweep the workers write them concurrently with evaluation, so the
-#: parent-side persistence cost is exactly what the two sides compare.
+#: The store rows: chunk-store compaction (the bulk fold of pre-written
+#: chunk files into the JSONL cache, best-of-``STORE_COMPACT_ROUNDS``)
+#: and the SQLite ingest over a synthetic record set.  The chunk files
+#: are written outside the timed region — in a real sweep the workers
+#: write them concurrently with evaluation, so the fold is the
+#: parent-side persistence cost.
 STORE_BENCHMARKS = 4
 STORE_CHUNK_SIZE = 15
 STORE_MPLS = (1_000, 10_000)
 STORE_INTERLEAVE = 3
-#: The compaction fold must beat the legacy per-row parent loop by this
-#: factor (measured ~2.5x on the reference host: bulk byte append of
-#: worker-serialized lines vs from_row + cache_line per record).  The
-#: SQLite ingest is timed and reported separately — the legacy path has
-#: no equivalent to ratio against.
-STORE_MIN_SPEEDUP = 1.2
+#: Rounds for the compaction fold: it takes ~15 ms, so best-of-3 swings
+#: by half from run to run; best-of-7 stays within about a tenth.
+STORE_COMPACT_ROUNDS = 7
+#: Calibration-normalized ceiling on the compaction fold
+#: (best-of-``STORE_COMPACT_ROUNDS`` over the best calibration sample of
+#: the same rounds).  Set from the same measurement before the
+#: ordered-delivery sweep path was removed: median of five runs 0.134
+#: (range 0.113-0.145) on a 2-core host, Python 3.11.  The check allows
+#: ``--tolerance`` on top, like the aggregate.  The SQLite ingest is
+#: timed and reported, not gated.
+STORE_MAX_NORMALIZED = 0.134
 
 #: The resume row: of ``RESUME_TOTAL_CHUNKS`` planned chunks,
 #: ``RESUME_PRESENT_CHUNKS`` already have files; ``missing()`` must
@@ -500,31 +501,6 @@ def _store_fixture():
     return planned, records, fingerprints
 
 
-def _store_legacy_side(tmp_dir, planned, records, fingerprints):
-    """The ordered-delivery parent loop: from_row + per-row append."""
-    from repro.experiments.runner import SweepRecord
-    from repro.experiments.store import cache_line
-
-    Path(tmp_dir).mkdir(parents=True, exist_ok=True)
-    cache = Path(tmp_dir) / "legacy.jsonl"
-    rows_by_chunk = {
-        chunk.key: [record.to_row() for record in records[chunk.key]]
-        for chunk in planned
-    }  # pre-serialized: the pipe delivers dicts, not SweepRecords
-
-    def run():
-        with cache.open("a", encoding="utf-8") as handle:
-            for chunk in planned:
-                delivered = [
-                    SweepRecord.from_row(row) for row in rows_by_chunk[chunk.key]
-                ]
-                fingerprint = fingerprints[chunk.benchmark]
-                for record in delivered:
-                    handle.write(cache_line(record, fingerprint))
-
-    return run, cache
-
-
 def _store_compact_side(tmp_dir, planned, records, fingerprints):
     """Chunk-store compaction: the bulk fold is the timed region; the
     workers' chunk files are pre-written here, outside it (in a real
@@ -551,37 +527,34 @@ def _store_compact_side(tmp_dir, planned, records, fingerprints):
 
 
 def _measure_store(calibration):
-    """The store section: persistence ratio, resume exactness, query
+    """The store section: compaction time, resume exactness, query
     latency.  Returns the result dict (see the constants above)."""
     from repro.experiments.store import ChunkStore, ResultDB, cache_line
 
     planned, records, fingerprints = _store_fixture()
     total_rows = sum(len(chunk_records) for chunk_records in records.values())
 
-    legacy_samples, compact_samples, ingest_samples = [], [], []
-    for round_index in range(STORE_INTERLEAVE):
+    # What compaction must produce: every record's line in plan order.
+    expected = "".join(
+        cache_line(record, fingerprints[chunk.benchmark])
+        for chunk in planned
+        for record in records[chunk.key]
+    ).encode("utf-8")
+    compact_samples, ingest_samples, compact_calibration = [], [], []
+    for _ in range(STORE_COMPACT_ROUNDS):
         with tempfile.TemporaryDirectory(prefix="repro-store-") as tmp_dir:
-            legacy_run, legacy_cache = _store_legacy_side(
-                Path(tmp_dir) / "legacy", planned, records, fingerprints
-            )
             compact_run, compact_cache = _store_compact_side(
                 Path(tmp_dir) / "store", planned, records, fingerprints
             )
-            sides = [(legacy_run, legacy_samples), (compact_run, compact_samples)]
-            if round_index % 2:
-                sides.reverse()
-            for run, samples in sides:
-                samples.append(_timed(run))
+            compact_calibration.append(_timed(_calibration_workload))
+            compact_samples.append(_timed(compact_run))
             with ResultDB(Path(tmp_dir) / "store.sqlite") as db:
                 ingest_samples.append(_timed(
                     lambda: db.sync_from_cache(compact_cache, "bench")
                 ))
-            byte_identical = (
-                legacy_cache.read_bytes() == compact_cache.read_bytes()
-            )
+            byte_identical = compact_cache.read_bytes() == expected
             if not byte_identical:
                 break
-    legacy_seconds = min(legacy_samples)
     compact_seconds = min(compact_samples)
     ingest_seconds = min(ingest_samples)
 
@@ -633,11 +606,11 @@ def _measure_store(calibration):
     return {
         "rows": total_rows,
         "chunks": len(planned),
-        "interleave": STORE_INTERLEAVE,
-        "legacy_seconds": round(legacy_seconds, 6),
+        "rounds": STORE_COMPACT_ROUNDS,
+        "calibration_seconds": round(min(compact_calibration), 6),
         "compact_seconds": round(compact_seconds, 6),
-        "speedup": round(legacy_seconds / compact_seconds, 4),
-        "min_speedup": STORE_MIN_SPEEDUP,
+        "compact_normalized": round(compact_seconds / min(compact_calibration), 4),
+        "max_normalized": STORE_MAX_NORMALIZED,
         "byte_identical": byte_identical,
         "ingest_seconds": round(ingest_seconds, 6),
         "ingest_rows_per_sec": round(total_rows / ingest_seconds, 1),
@@ -727,7 +700,7 @@ def measure(repeats):
             )
         warm_elements = len(read_trace_binary(warm_path, mmap=True))
     calibration = min(cal_samples)
-    seq_seconds, bank_seconds, seq_kernel_seconds, batched_seconds = (
+    bank_calibration, bank_seconds, seq_kernel_seconds, batched_seconds = (
         _measure_bank(trace, bank_configs)
     )
     serve_row = _measure_serve(calibration)
@@ -780,12 +753,10 @@ def measure(repeats):
         "bank": {
             "size": BANK_SIZE,
             "interleave": BANK_INTERLEAVE,
-            "sequential_seconds": round(seq_seconds, 6),
-            "sequential_normalized": round(seq_seconds / calibration, 4),
+            "calibration_seconds": round(bank_calibration, 6),
             "bank_seconds": round(bank_seconds, 6),
-            "bank_normalized": round(bank_seconds / calibration, 4),
-            "speedup": round(seq_seconds / bank_seconds, 4),
-            "min_speedup": BANK_MIN_SPEEDUP,
+            "bank_normalized": round(bank_seconds / bank_calibration, 4),
+            "max_normalized": BANK_MAX_NORMALIZED,
             "batched": {
                 "sequential_kernel_seconds": round(seq_kernel_seconds, 6),
                 "batched_seconds": round(batched_seconds, 6),
@@ -864,11 +835,8 @@ def _print_report(result):
               f"legacy {row['legacy_seconds']:.4f}s "
               f"(speedup {row['speedup']:.2f}x)")
     bank = result["bank"]
-    print(f"  bank[{bank['size']}] sequential   {bank['sequential_seconds']:.4f}s "
-          f"normalized={bank['sequential_normalized']:.4f}")
-    print(f"  bank[{bank['size']}] single-pass  {bank['bank_seconds']:.4f}s "
-          f"normalized={bank['bank_normalized']:.4f} "
-          f"(speedup {bank['speedup']:.2f}x)")
+    print(f"  bank[{bank['size']}] kernels off  {bank['bank_seconds']:.4f}s "
+          f"normalized={bank['bank_normalized']:.4f}")
     batched = bank["batched"]
     print(f"  bank[{bank['size']}] batched      {batched['batched_seconds']:.4f}s "
           f"vs sequential kernels {batched['sequential_kernel_seconds']:.4f}s "
@@ -901,10 +869,9 @@ def _print_report(result):
           f"flight {telemetry['flight_samples']} samples)")
     store = result["store"]
     print(f"  store[{store['rows']} rows/{store['chunks']} chunks] "
-          f"legacy {store['legacy_seconds']:.4f}s vs "
           f"compact {store['compact_seconds']:.4f}s "
-          f"(speedup {store['speedup']:.2f}x, "
-          f"byte-identical={store['byte_identical']})")
+          f"normalized={store['compact_normalized']:.4f} "
+          f"(byte-identical={store['byte_identical']})")
     print(f"  store ingest {store['ingest_seconds']:.4f}s "
           f"({store['ingest_rows_per_sec']:.0f} rows/s into SQLite)")
     resume = store["resume"]
@@ -980,20 +947,17 @@ def main(argv=None):
                   f"{families_change:+.1%} (> {args.tolerance:.0%}) vs "
                   f"{baseline_path.name}", file=sys.stderr)
             return 1
-    bank_ref = baseline.get("bank")
-    if bank_ref is not None:
-        # The bank gate is the sequential/bank ratio, not wall time: both
-        # sides are measured in the same run, so the check is immune to
-        # host-speed drift that the calibration cannot fully cancel.
-        speedup = float(result["bank"]["speedup"])
-        print(f"bank speedup: {speedup:.2f}x "
-              f"(baseline {float(bank_ref['speedup']):.2f}x, "
-              f"gate >= {BANK_MIN_SPEEDUP:.2f}x)")
-        if speedup < BANK_MIN_SPEEDUP:
-            print(f"FAIL: {BANK_SIZE}-config bank was only {speedup:.2f}x "
-                  f"{BANK_SIZE} sequential run_detector calls "
-                  f"(gate {BANK_MIN_SPEEDUP:.2f}x)", file=sys.stderr)
-            return 1
+    # Legacy bank gate: an absolute, calibration-normalized ceiling with
+    # the aggregate's tolerance.
+    bank_normalized = float(result["bank"]["bank_normalized"])
+    bank_ceiling = BANK_MAX_NORMALIZED * (1 + args.tolerance)
+    print(f"bank (kernels off) normalized: {bank_normalized:.4f} "
+          f"(gate <= {bank_ceiling:.4f})")
+    if bank_normalized > bank_ceiling:
+        print(f"FAIL: {BANK_SIZE}-config bank with kernels off took "
+              f"{bank_normalized:.4f} calibration units "
+              f"(gate {bank_ceiling:.4f})", file=sys.stderr)
+        return 1
     # Batched-advancer gate: kernels on both sides, so the ratio
     # isolates the per-signature series sharing, not vectorization.
     batched_speedup = float(result["bank"]["batched"]["speedup"])
@@ -1091,21 +1055,20 @@ def main(argv=None):
               f"{telemetry['elements']} — the spool lost samples",
               file=sys.stderr)
         return 1
-    # Store gates: the persistence ratio is same-run (drift-immune);
-    # byte-identity and resume exactness are absolute correctness
-    # claims; query latency uses the calibration-normalized ceiling.
+    # Store gates: byte-identity and resume exactness are absolute
+    # correctness claims; the compaction fold and query latency use
+    # calibration-normalized ceilings.
     store = result["store"]
-    print(f"store persistence speedup: {store['speedup']:.2f}x "
-          f"(gate >= {STORE_MIN_SPEEDUP:.1f}x)")
+    store_ceiling = STORE_MAX_NORMALIZED * (1 + args.tolerance)
+    print(f"store compaction normalized: {store['compact_normalized']:.4f} "
+          f"(gate <= {store_ceiling:.4f})")
     if not store["byte_identical"]:
         print("FAIL: chunk-store compaction produced a cache that is not "
-              "byte-identical to the ordered-delivery append path",
-              file=sys.stderr)
+              "every chunk's lines in plan order", file=sys.stderr)
         return 1
-    if store["speedup"] < STORE_MIN_SPEEDUP:
-        print(f"FAIL: chunk compaction (incl. SQLite ingest) was only "
-              f"{store['speedup']:.2f}x the legacy per-row parent loop "
-              f"(gate {STORE_MIN_SPEEDUP:.1f}x)", file=sys.stderr)
+    if store["compact_normalized"] > store_ceiling:
+        print(f"FAIL: chunk compaction took {store['compact_normalized']:.4f} "
+              f"calibration units (gate {store_ceiling:.4f})", file=sys.stderr)
         return 1
     resume = store["resume"]
     print(f"store resume: {resume['missing']}/{resume['planned']} missing "

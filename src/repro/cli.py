@@ -286,7 +286,7 @@ def cmd_bank(args: argparse.Namespace) -> int:
     )
     speedup = serial_best / bank_best if bank_best > 0 else float("inf")
     print(f"  sequential: {serial_best:.4f}s ({len(configs)} run_detector calls)")
-    print(f"  bank:       {bank_best:.4f}s (single pass)")
+    print(f"  bank:       {bank_best:.4f}s (one DetectorBank.run)")
     print(f"  speedup:    {speedup:.2f}x; results identical: {identical}")
     return 0 if identical else 1
 
@@ -403,11 +403,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         os.environ["REPRO_NUMBA"] = "1"
     sweep = Sweep(
         profile, cache_dir=cache_dir, benchmarks=benchmarks,
-        bank=not args.no_bank,
         kernels=False if args.no_kernels else None,
-        batched=False if args.no_batched else None,
         mmap=False if args.no_mmap else None,
-        store=not args.no_store,
         tracer=tracer,
     )
     grid = paper_grid(profile)
@@ -427,8 +424,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     print(f"cache: {sweep.cache_path}")
     print(f"manifest: {sweep.manifest_path}")
-    if sweep.store:
-        print(f"results db: {sweep.db_path}")
+    print(f"results db: {sweep.db_path}")
     if tracer is not None:
         tracer.save(args.trace)
         print(f"spans: {len(tracer.spans)} -> {args.trace}")
@@ -918,20 +914,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample wall time and tracemalloc peak per work chunk",
     )
     sweep_parser.add_argument(
-        "--no-bank", action="store_true",
-        help="evaluate one run_detector call per grid point instead of "
-             "single-pass multi-config banks (same records, slower)",
-    )
-    sweep_parser.add_argument(
         "--no-kernels", action="store_true",
         help="disable the array-native detector kernels and use the "
              "incremental fused loop everywhere (same records, slower)",
-    )
-    sweep_parser.add_argument(
-        "--no-batched", action="store_true",
-        help="run vectorized bank members through independent per-lane "
-             "calls instead of the shared batched advancer (same "
-             "records, slower)",
     )
     sweep_parser.add_argument(
         "--numba", action="store_true",
@@ -943,13 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-mmap", action="store_true",
         help="heap-copy cached traces instead of mapping them read-only "
              "(same records; also settable via REPRO_MMAP=0)",
-    )
-    sweep_parser.add_argument(
-        "--no-store", action="store_true",
-        help="bypass the content-addressed chunk store and SQLite result "
-             "database; parallel results return over the pipe with the "
-             "legacy ordered-delivery barrier (same cache bytes, no "
-             "resume, no `repro results`)",
     )
     sweep_parser.add_argument(
         "--trace", default=None, metavar="FILE",

@@ -1,42 +1,37 @@
-"""DetectorBank: many detector configurations, one trace pass.
+"""DetectorBank: many detector configurations over one trace.
 
 A sweep evaluates a grid of configurations over the same benchmark
-trace.  Running :func:`~repro.core.engine.run_detector` per grid point
-re-decodes the trace (ndarray → list) and re-slices it into
-``skipFactor`` groups once per configuration, even though that work is
-identical for every member with the same skip factor.  The bank
-amortizes it: the trace is decoded exactly once, members are grouped
-into *lanes* by skip factor, and each lane's group chunking is built
-once per segment and shared by all of its members — converting the
-sweep's hot path from O(configs × trace walks) to O(trace walks) of
-decode/chunk work.
+trace.  The bank runs each batch of grid points with one whole-trace
+pass per member and shares whatever work the members have in common.
 
-Every member is an independent :class:`~repro.core.runtime.DetectorRuntime`
-advanced in lockstep over the shared groups, so results (states, phases,
-similarity statistics, observability events) are bit-identical to
-running each configuration alone — pinned by the equivalence tests and
-by the sweep cache byte-equality test.
+Members eligible for the array-native kernels (see
+:mod:`repro.core.kernels`) — every fresh, unobserved standard-component
+windowed configuration — run through
+:func:`~repro.core.kernels.run_bank_batched`: one
+:class:`~repro.core.kernels.SharedTraceKernels` cache holds the dense
+code pass and each ``(weighted, cw, tw, skip)`` similarity series, so
+members that differ only by analyzer bars or anchor/resize policy share
+the series computation.
 
-With the array-native kernels enabled (the default, see
-:mod:`repro.core.kernels`), eligible members skip the lockstep lanes
-entirely and run on the vectorized episode walks instead — the cached
-``dense_codes()`` pass and the per-signature similarity series are the
-bank-level shared work, replacing the shared decode/chunking.
-Observed, restored or custom-component members still use the legacy
-lanes, and results stay bit-identical either way.
+Every other member — observed, restored or custom-component members,
+the non-window families, and every member under ``kernels=False`` —
+runs one after another through its own solo
+:meth:`~repro.core.decision.DecisionEngine.run`, so a bank member and a
+solo run of the same configuration take the same driver and cannot
+disagree.  Results (states, phases, similarity statistics,
+observability events) are bit-identical to running each configuration
+alone — pinned by the equivalence tests and by the sweep cache
+byte-equality tests.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.core.config import DetectorConfig
 from repro.core.decision import DetectionResult, build_engine
-from repro.core.runtime import SEGMENT_ELEMENTS
 from repro.profiles.trace import BranchTrace
 
 __all__ = ["DetectorBank"]
@@ -55,7 +50,7 @@ def _maybe_span(tracer, name, parent, **attrs):
 
 
 class DetectorBank:
-    """N detector configurations advanced in lockstep over one trace.
+    """N detector configurations evaluated over one trace.
 
     ``observers`` optionally gives one observability sink per member
     (positionally matched to ``configs``); each member's event stream is
@@ -92,44 +87,37 @@ class DetectorBank:
         self,
         trace: BranchTrace,
         kernels: Optional[bool] = None,
-        batched: Optional[bool] = None,
         tracer=None,
         trace_parent=None,
         metrics=None,
     ) -> List[DetectionResult]:
         """Run every member over ``trace``; results in member order.
 
-        Members eligible for the array-native kernels (see
-        :mod:`repro.core.kernels`) — Threshold and Average analyzers
-        alike — run through the **batched advancer**
-        (:func:`repro.core.kernels.run_bank_batched`): one
-        :class:`~repro.core.kernels.SharedTraceKernels` cache funnels
-        every lane, so lanes sharing a window signature share the full
-        similarity-series computation instead of recomputing it per
-        lane.  Observed or custom-component members keep the legacy
-        lockstep lanes.  ``kernels=None`` consults the ``REPRO_KERNELS``
-        environment variable; ``kernels=False`` forces the lanes for all
-        members.  ``batched=None`` consults ``REPRO_BANK_BATCHED``
-        (default on); ``batched=False`` runs vectorized members through
-        independent per-lane calls instead — output is identical either
-        way (the sharing is a pure cache).
+        Each member's path is :func:`repro.core.kernels.kernel_path`,
+        the rule a solo run uses too: ``"vectorized"`` members run
+        through :func:`~repro.core.kernels.run_bank_batched`, the rest
+        run one after another through their own whole-trace
+        :meth:`~repro.core.decision.DecisionEngine.run`.
+        ``kernels=None`` consults the ``REPRO_KERNELS`` environment
+        variable; ``kernels=False`` runs every member sequentially.
 
         Telemetry (both optional, zero-cost when ``None``):
 
         - ``tracer``/``trace_parent`` — a duck-typed span tracer (see
           :mod:`repro.obs.trace`); the run becomes a ``bank.run`` span
           under ``trace_parent`` with one ``bank.kernel`` child per
-          kernel path actually taken (``batched`` / ``vectorized`` /
-          ``lanes``).
+          path actually taken (``batched`` / ``sequential``).
         - ``metrics`` — a registry whose ``bank.advance_seconds``
-          histogram receives one observation per kernel member run and
-          per legacy lane segment.
+          histogram receives one observation per member run.
         """
         from repro.core import kernels as kernel_mod
 
-        data = trace.array
-        total = int(data.size)
         runtimes = self.runtimes
+        total = int(trace.array.size)
+        histogram = (
+            metrics.histogram("bank.advance_seconds") if metrics is not None else None
+        )
+        results: List[Optional[DetectionResult]] = [None] * len(runtimes)
         with _maybe_span(
             tracer,
             "bank.run",
@@ -138,133 +126,44 @@ class DetectorBank:
             members=len(runtimes),
             elements=total,
         ) as bank_span:
-            return self._run(
-                trace, kernels, batched, total, tracer, bank_span, metrics,
-                kernel_mod,
-            )
+            vector_members: List[int] = []
+            sequential_members: List[int] = []
+            for index, runtime in enumerate(runtimes):
+                if kernel_mod.kernel_path(runtime, kernels) == "vectorized":
+                    vector_members.append(index)
+                else:
+                    sequential_members.append(index)
 
-    def _run(
-        self, trace, kernels, batched, total, tracer, bank_span, metrics,
-        kernel_mod,
-    ):
-        data = trace.array
-        runtimes = self.runtimes
-        histogram = (
-            metrics.histogram("bank.advance_seconds") if metrics is not None else None
-        )
-
-        for runtime in runtimes:
-            observer = runtime.observer
-            if observer is not None:
-                observer.emit(
-                    {
-                        "ev": "run_begin",
-                        "step": 0,
-                        "trace": trace.name,
-                        "elements": total,
-                        "config": runtime.config.describe(),
-                    }
-                )
-
-        if batched is None:
-            batched = kernel_mod.bank_batching_enabled()
-        states_by_member: List[Optional[np.ndarray]] = [None] * len(runtimes)
-        vector_members: List[int] = []
-        legacy_members: List[int] = []
-        for index, runtime in enumerate(runtimes):
-            if kernel_mod.kernel_path(runtime, kernels) == "vectorized":
-                vector_members.append(index)
-            else:
-                legacy_members.append(index)
-
-        if vector_members:
-            path_label = "batched" if batched else "vectorized"
-            with _maybe_span(
-                tracer, "bank.kernel", bank_span,
-                path=path_label, members=len(vector_members),
-            ):
-                if batched:
+            if vector_members:
+                with _maybe_span(
+                    tracer, "bank.kernel", bank_span,
+                    path="batched", members=len(vector_members),
+                ):
                     member_states = kernel_mod.run_bank_batched(
                         [runtimes[index] for index in vector_members],
                         trace,
                         histogram=histogram,
                     )
-                    for index, states in zip(vector_members, member_states):
-                        states_by_member[index] = states
-                else:
-                    for index in vector_members:
-                        started = (
-                            time.perf_counter() if histogram is not None else 0.0
-                        )
-                        states_by_member[index] = kernel_mod.run_vectorized(
-                            runtimes[index], trace
-                        )
+                # Vectorized members carry no observer (an observed
+                # member is never eligible), so there are no run events
+                # to emit around them.
+                for index, states in zip(vector_members, member_states):
+                    runtime = runtimes[index]
+                    results[index] = DetectionResult(
+                        states=states,
+                        detected_phases=runtime.finish(total),
+                        config=runtime.config,
+                    )
+            if sequential_members:
+                with _maybe_span(
+                    tracer, "bank.kernel", bank_span,
+                    path="sequential", members=len(sequential_members),
+                ):
+                    for index in sequential_members:
+                        started = time.perf_counter() if histogram is not None else 0.0
+                        # The path is already decided: kernels=False
+                        # keeps the solo run from deciding it again.
+                        results[index] = runtimes[index].run(trace, kernels=False)
                         if histogram is not None:
                             histogram.observe(time.perf_counter() - started)
-        if legacy_members:
-            with _maybe_span(
-                tracer, "bank.kernel", bank_span,
-                path="lanes", members=len(legacy_members),
-            ):
-                elements = data.tolist()  # the one decode the lanes share
-                buffers = {index: bytearray(total) for index in legacy_members}
-                lanes: Dict[int, List[int]] = {}
-                for index in legacy_members:
-                    lanes.setdefault(
-                        runtimes[index].config.skip_factor, []
-                    ).append(index)
-                for skip, members in lanes.items():
-                    segment = skip * max(1, SEGMENT_ELEMENTS // skip)
-                    base = 0
-                    while base < total:
-                        stop = min(base + segment, total)
-                        if skip == 1:
-                            # Skip-1 lanes share the flat element slice
-                            # directly — no per-element group lists.
-                            chunk = elements[base:stop]
-                            started = (
-                                time.perf_counter() if histogram is not None else 0.0
-                            )
-                            for index in members:
-                                runtimes[index].advance_flat(
-                                    chunk, buffers[index], base
-                                )
-                        else:
-                            groups = [
-                                elements[start : start + skip]
-                                for start in range(base, stop, skip)
-                            ]
-                            started = (
-                                time.perf_counter() if histogram is not None else 0.0
-                            )
-                            for index in members:
-                                runtimes[index].advance(groups, buffers[index], base)
-                        if histogram is not None:
-                            histogram.observe(time.perf_counter() - started)
-                        base = stop
-                for index in legacy_members:
-                    states_by_member[index] = np.frombuffer(
-                        bytes(buffers[index]), dtype=np.uint8
-                    ).astype(bool)
-
-        results: List[DetectionResult] = []
-        for index, runtime in enumerate(runtimes):
-            phases = runtime.finish(total)
-            observer = runtime.observer
-            if observer is not None:
-                observer.emit(
-                    {
-                        "ev": "run_end",
-                        "step": total,
-                        "phases": len(phases),
-                        "elements": total,
-                    }
-                )
-            results.append(
-                DetectionResult(
-                    states=states_by_member[index],
-                    detected_phases=phases,
-                    config=runtime.config,
-                )
-            )
-        return results
+        return results  # type: ignore[return-value]

@@ -13,7 +13,8 @@ This module owns that reduction:
 - :class:`DecisionEngine` — the abstract engine every detector family
   implements: ``step()`` consumes one ``skipFactor`` group and returns
   a decision; the base class supplies the chunked ``advance()`` driver,
-  whole-trace ``run()``, phase statistics, and the versioned family
+  the whole-trace ``run()`` (which the bank also uses for its
+  non-vectorized members), phase statistics, and the versioned family
   checkpoint schema (v2), so a new family only writes its statistic
   update and its serializable state.
 - :class:`PhaseTracker` — the single home of phase bookkeeping.  It
@@ -230,9 +231,9 @@ class DecisionEngine:
     - phase statistics — :meth:`_phase_stats_reset` on enter and
       :meth:`_phase_stats_update` per in-phase step feed the closed
       phase's ``mean_similarity``;
-    - :meth:`advance` / :meth:`advance_flat` — the chunked drivers the
-      bank and streaming fronts use, with the per-chunk
-      ``runtime.advance_seconds`` metrics histogram;
+    - :meth:`advance` — the chunked driver the streaming and serving
+      fronts use, with the per-chunk ``runtime.advance_seconds``
+      metrics histogram;
     - :meth:`run` — the whole-trace driver with ``run_begin`` /
       ``run_end`` observability events;
     - :meth:`checkpoint` / :meth:`restore` — the versioned family
@@ -339,7 +340,7 @@ class DecisionEngine:
             self.state = PhaseState.TRANSITION
         return list(self.tracker.phases)
 
-    # -- chunked driving (the bank / streaming entry points) -------------------
+    # -- chunked driving (the streaming / serving entry point) -----------------
 
     def advance(
         self, groups: Sequence[Sequence[int]], states: bytearray, base: int
@@ -372,33 +373,6 @@ class DecisionEngine:
             if decision.state.is_phase():
                 states[offset : offset + group_len] = b"\x01" * group_len
             offset += group_len
-
-    def advance_flat(
-        self, elements: Sequence[int], states: bytearray, base: int
-    ) -> None:
-        """Advance over single-element groups (``skipFactor == 1``).
-
-        Semantically identical to :meth:`advance` with every element
-        wrapped in its own group, but takes the flat element list the
-        bank's skip-1 lanes share — no per-element group lists.
-        """
-        metrics = self.metrics
-        started = time.perf_counter() if metrics is not None else 0.0
-        self._advance_elements(elements, states, base)
-        if metrics is not None:
-            metrics.histogram("runtime.advance_seconds").observe(
-                time.perf_counter() - started
-            )
-
-    def _advance_elements(
-        self, elements: Sequence[int], states: bytearray, base: int
-    ) -> None:
-        offset = base
-        for element in elements:
-            decision = self.step((element,))
-            if decision.state.is_phase():
-                states[offset] = 1
-            offset += 1
 
     # -- whole-trace driving ---------------------------------------------------
 

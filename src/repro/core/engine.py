@@ -7,8 +7,8 @@ optimized fused path (the inlined window/count loop described in
 :class:`~repro.core.detector.PhaseDetector` — verified by the
 equivalence tests in ``tests/core/`` — at several times the speed; this
 is what the experiment sweeps call.  For many configurations over one
-trace, prefer :class:`~repro.core.bank.DetectorBank`, which decodes and
-chunks the trace once.
+trace, prefer :class:`~repro.core.bank.DetectorBank`, whose vectorized
+members share the dense-code pass and similarity series.
 """
 
 from __future__ import annotations

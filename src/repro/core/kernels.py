@@ -11,9 +11,8 @@ replays the detector's decisions episode by episode.
 
 **Dense remapping** — :meth:`BranchTrace.dense_codes` maps the trace's
 packed int64 elements to contiguous small ints (``codes``) once per
-trace via one cached ``np.unique`` pass.  Every lane of a
-:class:`~repro.core.bank.DetectorBank` pass shares the same remap, the
-same way the bank already shares the trace decode.
+trace via one cached ``np.unique`` pass, which every vectorized member
+of a :class:`~repro.core.bank.DetectorBank` pass shares.
 
 **Vectorized whole-trace fast path** — :func:`run_vectorized` computes
 similarity series with sliding-window array operations and derives
@@ -65,8 +64,7 @@ series per window *signature* ``(weighted, cw, tw, skip)``, so a
 :class:`~repro.core.bank.DetectorBank` whose members differ only by
 analyzer bars or anchor/resize policy computes each series once.
 :func:`run_bank_batched` drives every kernel member through one
-shared cache (:func:`bank_batching_enabled` / ``REPRO_BANK_BATCHED=0``
-to disable).
+shared cache.
 
 Each exit restarts the filled-mask origin at the flush point.  Phases,
 anchor-corrected starts, per-phase mean similarity and the final
@@ -101,7 +99,6 @@ from repro.core.state import PhaseState
 
 __all__ = [
     "kernels_enabled",
-    "bank_batching_enabled",
     "kernel_path",
     "vectorized_eligible",
     "run_dense",
@@ -147,17 +144,6 @@ def vectorized_eligible(runtime) -> bool:
     canonical event stream), and a fresh runtime.
     """
     return runtime.fused_capable() and runtime.observer is None and _fresh(runtime)
-
-
-def bank_batching_enabled() -> bool:
-    """True unless ``REPRO_BANK_BATCHED`` disables the batched bank
-    advancer (``0``/``false``/``off``/``no``)."""
-    return os.environ.get("REPRO_BANK_BATCHED", "").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
 
 
 def kernel_path(engine, kernels: Optional[bool] = None) -> str:

@@ -10,23 +10,22 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.baseline.oracle import BaselineSolution, solve_baseline
 from repro.core.bank import DetectorBank
 from repro.core.detector import DetectionResult
-from repro.core.engine import run_detector
 from repro.experiments.config_space import ConfigSpec, SuiteProfile
 from repro.profiles.callloop import CallLoopTrace
 from repro.profiles.trace import BranchTrace
-from repro.scoring.metric import score_states, score_states_batch
+from repro.scoring.metric import score_states_batch
 from repro.scoring.states import Interval, phases_from_states
 
-#: Grid points evaluated per single-pass :class:`DetectorBank`.  Bounds
-#: the bank's per-member state buffers (one byte per trace element each)
-#: while still amortizing the trace decode/chunking across many members.
+#: Grid points evaluated per :class:`DetectorBank`.  Bounds the bank's
+#: per-member state arrays (one per trace element each) while still
+#: sharing the kernel series and the batched scoring across many members.
 DEFAULT_BANK_SIZE = 16
 
 
@@ -195,23 +194,6 @@ def _make_record(
     )
 
 
-def _score_result(
-    result: DetectionResult, baselines: BaselineSet, spec: ConfigSpec
-) -> List[SweepRecord]:
-    """Score one detector result at every MPL (one record per MPL)."""
-    corrected_states = result.corrected_states()
-    corrected_phases = result.corrected_phases()
-    records: List[SweepRecord] = []
-    for nominal in baselines.mpl_nominals:
-        base_states = baselines.states(nominal)
-        plain = score_states(result.states, base_states)
-        corrected = score_states(
-            corrected_states, base_states, detected_phases=corrected_phases
-        )
-        records.append(_make_record(baselines, spec, nominal, plain, corrected))
-    return records
-
-
 def _score_results(
     results: Sequence[DetectionResult],
     baselines: BaselineSet,
@@ -219,12 +201,14 @@ def _score_results(
 ) -> List[SweepRecord]:
     """Score a batch of detector results at every MPL in one pass.
 
-    Bit-identical to mapping :func:`_score_result` over the batch
-    (records in the same lane-major, MPL-minor order), but runs one
-    :func:`~repro.scoring.score_states_batch` call over a ``2L x N``
+    Records come out lane-major, MPL-minor.  One
+    :func:`~repro.scoring.score_states_batch` call runs over a ``2L x N``
     state matrix — rows ``0..L-1`` the plain states, rows ``L..2L-1``
-    the anchor-corrected states — so each MPL baseline is compared and
-    indexed once for the whole bank instead of once per lane.
+    the anchor-corrected states (scored against the corrected phase
+    intervals) — so each MPL baseline is compared and indexed once for
+    the whole bank instead of once per lane.  Each record is
+    bit-identical to :func:`~repro.scoring.score_states` on that lane
+    and MPL (``tests/properties/test_batch_scoring.py`` pins this).
     """
     num_lanes = len(results)
     if num_lanes == 0:
@@ -252,81 +236,44 @@ def _score_results(
     return records
 
 
-def evaluate_spec(
-    trace: BranchTrace,
-    baselines: BaselineSet,
-    spec: ConfigSpec,
-    profile: SuiteProfile,
-    kernels: Optional[bool] = None,
-) -> List[SweepRecord]:
-    """Run one grid point over one trace; score it at every MPL."""
-    config = spec.to_config(profile)
-    result = run_detector(trace, config, kernels=kernels)
-    return _score_result(result, baselines, spec)
-
-
 def evaluate_bank(
     trace: BranchTrace,
     baselines: BaselineSet,
     specs: Sequence[ConfigSpec],
     profile: SuiteProfile,
-    bank: bool = True,
     bank_size: int = DEFAULT_BANK_SIZE,
     kernels: Optional[bool] = None,
-    batched: Optional[bool] = None,
-    batch: bool = True,
     tracer=None,
     trace_parent=None,
     metrics=None,
 ) -> List[SweepRecord]:
     """Run many grid points over one trace; score each at every MPL.
 
-    With ``bank=True`` (the default) the specs are evaluated in
-    single-pass :class:`~repro.core.bank.DetectorBank` batches of
-    ``bank_size``, so the trace is decoded and chunked once per batch
-    instead of once per grid point.  ``bank=False`` falls back to one
-    :func:`~repro.core.engine.run_detector` call per spec — same
-    results in the same order (the bank-equivalence CI job pins this).
+    The specs are evaluated in :class:`~repro.core.bank.DetectorBank`
+    batches of ``bank_size`` and each batch is scored in one
+    :func:`~repro.scoring.score_states_batch` pass (see
+    :func:`_score_results`).
 
     ``kernels`` selects the array-native detector kernels for eligible
     configurations (see :mod:`repro.core.kernels`); ``None`` consults
-    the ``REPRO_KERNELS`` environment variable.  ``batched`` selects the
-    bank's batched advancer for vectorized members (``None`` consults
-    ``REPRO_BANK_BATCHED``).  Records are byte-identical either way (the
-    kernel-equivalence CI job pins this).
-
-    ``batch`` selects the vectorized batch scorer
-    (:func:`~repro.scoring.score_states_batch`) for each bank batch;
-    ``batch=False`` scores lane by lane via :func:`score_states`.
-    Records are bit-identical either way — ``bank=False`` always scores
-    lane by lane, so the bank-equivalence job pins batch-vs-scalar
-    scoring too.
+    the ``REPRO_KERNELS`` environment variable.  Records are
+    byte-identical either way (the kernel-equivalence CI job pins this).
 
     ``tracer``/``trace_parent``/``metrics`` ride through to
     :meth:`DetectorBank.run` untouched (``bank.run`` / ``bank.kernel``
     spans and the ``bank.advance_seconds`` histogram); all three default
     to ``None`` and cost nothing when off.
     """
-    if not bank:
-        records: List[SweepRecord] = []
-        for spec in specs:
-            records.extend(evaluate_spec(trace, baselines, spec, profile, kernels))
-        return records
-    records = []
+    records: List[SweepRecord] = []
     specs = list(specs)
     for start in range(0, len(specs), bank_size):
         batch_specs = specs[start : start + bank_size]
         results = DetectorBank([spec.to_config(profile) for spec in batch_specs]).run(
             trace,
             kernels=kernels,
-            batched=batched,
             tracer=tracer,
             trace_parent=trace_parent,
             metrics=metrics,
         )
-        if batch:
-            records.extend(_score_results(results, baselines, batch_specs))
-        else:
-            for spec, result in zip(batch_specs, results):
-                records.extend(_score_result(result, baselines, spec))
+        records.extend(_score_results(results, baselines, batch_specs))
     return records

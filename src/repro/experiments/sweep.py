@@ -4,17 +4,17 @@ A sweep evaluates a set of grid points over every benchmark trace and
 scores each run at every MPL.  Detector runs are the expensive part, so
 completed records are appended to a JSONL cache keyed by (benchmark
 fingerprint, grid point, MPL set); re-running a sweep with a warm cache
-only aggregates.  Grid points are evaluated in single-pass
-:class:`~repro.core.bank.DetectorBank` batches per trace (each trace is
-decoded and chunked once per batch, not once per grid point); pass
-``bank=False`` to fall back to one detector pass per grid point —
-identical records either way (see ``docs/sweep.md``).
+only aggregates.  Grid points are evaluated in
+:class:`~repro.core.bank.DetectorBank` batches per trace (see
+``docs/sweep.md``).
 
 Evaluation runs serially in-process by default (``jobs=1``) or fans out
-over a process pool (``jobs>1`` or ``jobs=None`` with ``REPRO_JOBS``
-set) via :mod:`repro.experiments.parallel`.  Both modes append cache
-rows in the same deterministic order, so the cache file is
-byte-identical either way; see ``docs/sweep.md`` for the lifecycle and
+over a process pool through the content-addressed chunk store
+(``jobs>1``, or ``jobs=None`` resolved through ``REPRO_JOBS`` and the
+core count) via :mod:`repro.experiments.parallel`.  Both modes leave
+cache rows in the same deterministic order, so the cache file is
+byte-identical either way, and both mirror the cache into the SQLite
+result database; see ``docs/sweep.md`` for the lifecycle and
 ``docs/formats.md`` for the cache schema.
 
 Every :meth:`Sweep.ensure` that touches the on-disk cache also writes a
@@ -81,7 +81,8 @@ class Sweep:
             extended set including 200K, so one sweep feeds every
             table and figure).
         jobs: default worker count for :meth:`ensure` (1 = serial
-            in-process evaluation; >1 fans out over a process pool).
+            in-process evaluation; >1 fans out over a process pool;
+            ``None`` = :func:`~repro.experiments.parallel.resolve_jobs`).
         tracer: optional span tracer (see :mod:`repro.obs.trace`); when
             set, each :meth:`ensure` becomes a ``sweep`` span with one
             ``sweep.job`` child per (benchmark, missing-specs) unit and
@@ -96,12 +97,9 @@ class Sweep:
         cache_dir: Optional[Path] = None,
         benchmarks: Optional[Sequence[str]] = None,
         mpl_nominals: Sequence[int] = MPL_NOMINALS_EXTENDED,
-        jobs: int = 1,
-        bank: bool = True,
+        jobs: Optional[int] = 1,
         kernels: Optional[bool] = None,
-        batched: Optional[bool] = None,
         mmap: Optional[bool] = None,
-        store: bool = True,
         tracer=None,
     ) -> None:
         self.profile = profile
@@ -109,24 +107,10 @@ class Sweep:
         self.benchmarks = list(benchmarks) if benchmarks is not None else workload_names()
         self.mpl_nominals = list(mpl_nominals)
         self.jobs = jobs
-        #: Persist results through the content-addressed chunk store and
-        #: mirror the cache into the SQLite result database (see
-        #: :mod:`repro.experiments.store`).  False restores the legacy
-        #: ordered-delivery parallel path and skips SQLite entirely —
-        #: the store-equivalence escape hatch (identical cache bytes).
-        self.store = store
-        #: Evaluate grid points in single-pass DetectorBank batches per
-        #: trace (False: one run_detector pass per grid point — slower,
-        #: identical records; kept as the bank-equivalence escape hatch).
-        self.bank = bank
         #: Array-native kernel selection for eligible configurations
         #: (None: the REPRO_KERNELS env default; False: the
         #: kernel-equivalence escape hatch — identical records).
         self.kernels = kernels
-        #: Batched bank advancer for vectorized members (None: on unless
-        #: REPRO_BANK_BATCHED=0; False: independent per-lane vectorized
-        #: calls — identical records; the batch-equivalence escape hatch).
-        self.batched = batched
         #: Map cached traces and dense-code sidecars read-only instead of
         #: heap-copying them (None: on unless REPRO_MMAP=0; False: the
         #: mmap-equivalence escape hatch — identical records).
@@ -211,7 +195,7 @@ class Sweep:
 
     @property
     def db_path(self) -> Path:
-        """The SQLite result database next to the cache (store mode)."""
+        """The SQLite result database next to the cache."""
         return self.cache_dir / f"sweep-{self.profile.name}.sqlite"
 
     def result_db(self):
@@ -282,8 +266,7 @@ class Sweep:
             ) as job_span:
                 fresh: List[SweepRecord] = evaluate_bank(
                     branch_trace, baselines, missing, self.profile,
-                    bank=self.bank, kernels=self.kernels,
-                    batched=self.batched,
+                    kernels=self.kernels,
                     tracer=self.tracer, trace_parent=job_span,
                     metrics=self.metrics,
                 )
@@ -301,55 +284,6 @@ class Sweep:
                     self.profile.name, benchmark, len(missing), elapsed,
                 )
         return evaluated
-
-    def _evaluate_parallel(
-        self,
-        work: Sequence[Tuple[str, List[ConfigSpec]]],
-        jobs: int,
-        progress: bool,
-        profiling: bool = False,
-    ) -> Tuple[int, List[Dict], Dict[int, Dict], List[Dict]]:
-        """Fan ``work`` out; returns (evaluated, worker stats, metrics, profiles).
-
-        The legacy ordered-delivery path: workers ship record rows back
-        over the pipe and the parent appends them in submission order.
-        Kept as the ``store=False`` escape hatch and the bench baseline;
-        the default parallel path is :meth:`_evaluate_store`.
-        """
-        from repro.experiments.parallel import ParallelSweepExecutor, resolve_jobs
-
-        jobs = resolve_jobs(jobs)
-        if jobs <= 1:
-            return self._evaluate_serial(work, progress), [], {}, []
-        executor = ParallelSweepExecutor(
-            self.profile, self.cache_dir, self.mpl_nominals, jobs=jobs,
-            profiling=profiling, bank=self.bank, kernels=self.kernels,
-            batched=self.batched, mmap=self.mmap,
-        )
-        evaluated = 0
-
-        def on_chunk(
-            benchmark: str, records: List[SweepRecord], benchmark_finished: bool
-        ) -> None:
-            nonlocal evaluated
-            for record in records:
-                self._records[self._record_key(record)] = record
-            self._append_cache(records)
-            evaluated += len(records)
-            if benchmark_finished:
-                self.metrics.counter("sweep.benchmarks_finished").inc()
-
-        executor.run(
-            work, on_chunk, progress=progress,
-            benchmark_weights=self._benchmark_weights(),
-        )
-        self.metrics.counter("sweep.records_evaluated").inc(evaluated)
-        return (
-            evaluated,
-            executor.worker_stats,
-            executor.worker_metrics,
-            executor.chunk_profiles,
-        )
 
     def _evaluate_store(
         self,
@@ -369,16 +303,12 @@ class Sweep:
         plan order (byte-identical to a serial sweep) and syncs the
         SQLite result database.  See :mod:`repro.experiments.store`.
         """
-        from repro.experiments.parallel import ParallelSweepExecutor, resolve_jobs
+        from repro.experiments.parallel import ParallelSweepExecutor
         from repro.experiments.store import ChunkStore, compact_chunks
 
-        jobs = resolve_jobs(jobs)
-        if jobs <= 1:
-            return self._evaluate_serial(work, progress), [], {}, []
         executor = ParallelSweepExecutor(
             self.profile, self.cache_dir, self.mpl_nominals, jobs=jobs,
-            profiling=profiling, bank=self.bank, kernels=self.kernels,
-            batched=self.batched, mmap=self.mmap,
+            profiling=profiling, kernels=self.kernels, mmap=self.mmap,
         )
         store = ChunkStore(self.cache_dir, self.profile.name)
         fingerprints = {benchmark: self._fingerprint(benchmark) for benchmark, _ in work}
@@ -427,16 +357,22 @@ class Sweep:
         With a warm cache this is pure lookup.  ``progress`` logs a
         one-line-per-benchmark trace (``repro.sweep`` logger, INFO).
         ``jobs`` overrides the sweep's default worker count for this
-        call: 1 evaluates serially in-process, >1 fans work out over a
-        process pool (see :mod:`repro.experiments.parallel`); both
-        produce the same records and a byte-identical cache file.
+        call; either is resolved once through
+        :func:`~repro.experiments.parallel.resolve_jobs` (``None``:
+        ``REPRO_JOBS``, then the core count), and the resolved count is
+        what the manifest and the result database record.  1 evaluates
+        serially in-process, >1 fans work out over a process pool
+        through the chunk store (see :mod:`repro.experiments.parallel`);
+        both produce the same records and a byte-identical cache file.
         ``profiling`` wraps each parallel chunk in a
         :class:`~repro.obs.profiling.ChunkProfiler`.  Unless
         ``manifest=False``, a run manifest is written next to the cache
         describing this call (see :mod:`repro.obs.manifest`).
         """
+        from repro.experiments.parallel import resolve_jobs
+
         specs = list(specs) if specs is not None else paper_grid(self.profile)
-        jobs = self.jobs if jobs is None else jobs
+        jobs = resolve_jobs(self.jobs if jobs is None else jobs)
         started = time.perf_counter()
         work = [
             (benchmark, missing)
@@ -452,31 +388,24 @@ class Sweep:
             with self._span(
                 "sweep", profile=self.profile.name, benchmarks=len(work),
             ) as sweep_span:
-                if jobs is not None and jobs <= 1:
+                if jobs == 1:
                     evaluated = self._evaluate_serial(
                         work, progress, trace_parent=sweep_span
                     )
                 else:
-                    evaluate = (
-                        self._evaluate_store if self.store
-                        else self._evaluate_parallel
-                    )
                     evaluated, workers, worker_metrics, chunk_profiles = (
-                        evaluate(work, jobs, progress, profiling)
+                        self._evaluate_store(work, jobs, progress, profiling)
                     )
-        if self.store:
-            # Keep the SQLite mirror current no matter which path ran
-            # (incremental: a warm-cache call parses nothing).
-            with self.metrics.time("store.db_sync_seconds"):
-                self.result_db().sync_from_cache(
-                    self._cache_path, self.profile.name
-                )
+        # Keep the SQLite mirror current no matter which path ran
+        # (incremental: a warm-cache call parses nothing).
+        with self.metrics.time("store.db_sync_seconds"):
+            self.result_db().sync_from_cache(self._cache_path, self.profile.name)
         elapsed = time.perf_counter() - started
-        if self.store and evaluated:
+        if evaluated:
             self.result_db().record_run(
                 profile=self.profile.name,
                 grid_fingerprint=grid_fingerprint(specs, self.mpl_nominals),
-                jobs=jobs if jobs is not None else 1,
+                jobs=jobs,
                 elapsed_seconds=elapsed,
                 records_evaluated=evaluated,
                 records_total=len(self._records),
@@ -499,7 +428,7 @@ class Sweep:
     def _write_manifest(
         self,
         specs: Sequence[ConfigSpec],
-        jobs: Optional[int],
+        jobs: int,
         elapsed: float,
         evaluated: int,
         workers: List[Dict],
@@ -520,7 +449,7 @@ class Sweep:
             fingerprints={name: self._fingerprint(name) for name in self.benchmarks},
             grid_fingerprint=grid_fingerprint(specs, self.mpl_nominals),
             mpl_nominals=self.mpl_nominals,
-            jobs=jobs if jobs is not None else 1,
+            jobs=jobs,
             elapsed_seconds=elapsed,
             records_evaluated=evaluated,
             records_total=len(self._records),

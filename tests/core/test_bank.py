@@ -1,8 +1,11 @@
-"""DetectorBank tests: lockstep members == solo runs, events and all."""
+"""DetectorBank tests: bank members == solo runs, events and all."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.comparators import engine_family
 from repro.core import (
     AnalyzerKind,
     AnchorPolicy,
@@ -29,7 +32,8 @@ def trace():
 
 
 def grid_configs():
-    """A mixed grid: models x analyzers x trailing, across 3 skip lanes."""
+    """A mixed grid: models x analyzers x trailing, across 3 skip
+    factors, with a FOCuS and a NEWMA member among the windowed ones."""
     configs = []
     skips = (1, 5, 12)
     index = 0
@@ -50,19 +54,28 @@ def grid_configs():
                     )
                 )
                 index += 1
-    return configs
+    focus, newma = (
+        replace(engine_family(name).default_config(), cw_size=60)
+        for name in ("focus", "newma")
+    )
+    return configs[:4] + [focus] + configs[4:6] + [newma] + configs[6:]
 
 
 class TestEquivalence:
     def test_mixed_grid_matches_solo_runs(self, trace):
+        # kernels=False pins the sequential legacy members across all
+        # three skip factors; None takes the batched kernel path.
         configs = grid_configs()
-        solo = [run_detector(trace, config) for config in configs]
-        banked = DetectorBank(configs).run(trace)
-        assert len(banked) == len(solo)
-        for config, a, b in zip(configs, solo, banked):
-            assert np.array_equal(a.states, b.states), config.describe()
-            assert a.detected_phases == b.detected_phases, config.describe()
-            assert b.config == config
+        for kernels in (None, False):
+            solo = [run_detector(trace, config, kernels=kernels) for config in configs]
+            banked = DetectorBank(configs).run(trace, kernels=kernels)
+            assert len(banked) == len(solo)
+            for config, a, b in zip(configs, solo, banked):
+                assert np.array_equal(a.states, b.states), (kernels, config.describe())
+                assert a.detected_phases == b.detected_phases, (
+                    kernels, config.describe()
+                )
+                assert b.config == config
 
     def test_duplicate_configs_share_a_lane(self, trace):
         config = DetectorConfig(cw_size=40, skip_factor=7, threshold=0.6)

@@ -46,6 +46,12 @@ def phased_trace(total=6000, seed=5):
     return BranchTrace(np.concatenate(parts).astype(np.int64), name="phased")
 
 
+def singletons(elements):
+    """Each element its own group: the per-element stepping the
+    serving layer feeds an engine."""
+    return [[element] for element in elements]
+
+
 def family_config(name):
     """A small runnable config for ``name`` (fast windows for tests)."""
     return replace(engine_family(name).default_config(), cw_size=120)
@@ -130,31 +136,13 @@ def test_run_result_shape_and_events(name):
     assert "similarity" in kinds and "decision" in kinds
 
 
-@pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_advance_flat_matches_groups(name):
-    """The bank's flat skip-1 lane is bit-identical to grouped advance."""
-    elements = phased_trace().array.tolist()
-    config = replace(family_config(name), skip_factor=1)
-    if name == "dhodapkar_smith":
-        # Its builder forces skip = cw; the flat lane never applies.
-        pytest.skip("dhodapkar_smith normalizes to skip = cw")
-    grouped = build_engine(config)
-    flat = build_engine(config)
-    states_grouped = bytearray(len(elements))
-    states_flat = bytearray(len(elements))
-    grouped.advance([[element] for element in elements], states_grouped, 0)
-    flat.advance_flat(elements, states_flat, 0)
-    assert bytes(states_grouped) == bytes(states_flat)
-    assert grouped.finish(len(elements)) == flat.finish(len(elements))
-
-
 @pytest.mark.parametrize("name", V2_FAMILIES)
 def test_family_checkpoint_roundtrip_bit_identical(name):
     elements = phased_trace().array.tolist()
     config = family_config(name)
     straight = build_engine(config)
     states_a = bytearray(len(elements))
-    straight.advance_flat(elements, states_a, 0)
+    straight.advance(singletons(elements), states_a, 0)
     phases_a = straight.finish(len(elements))
 
     parked = build_engine(config)
@@ -162,7 +150,7 @@ def test_family_checkpoint_roundtrip_bit_identical(name):
     base = 0
     while base < len(elements):
         stop = min(base + 500, len(elements))
-        parked.advance_flat(elements[base:stop], states_b, base)
+        parked.advance(singletons(elements[base:stop]), states_b, base)
         blob = json.dumps(parked.checkpoint(), separators=(",", ":"))
         data = json.loads(blob)
         assert data["version"] == CHECKPOINT_VERSION_FAMILY
@@ -186,7 +174,7 @@ def test_family_event_stream_unbroken_by_park(name):
     config = family_config(name)
     sink_a = MemorySink()
     straight = build_engine(config, observer=sink_a)
-    straight.advance_flat(elements, bytearray(len(elements)), 0)
+    straight.advance(singletons(elements), bytearray(len(elements)), 0)
     straight.finish(len(elements))
 
     sink_b = MemorySink()
@@ -195,7 +183,7 @@ def test_family_event_stream_unbroken_by_park(name):
     base = 0
     while base < len(elements):
         stop = min(base + 777, len(elements))
-        parked.advance_flat(elements[base:stop], states, base)
+        parked.advance(singletons(elements[base:stop]), states, base)
         parked = restore_engine(
             json.loads(json.dumps(parked.checkpoint())), observer=sink_b
         )
@@ -207,7 +195,7 @@ def test_family_event_stream_unbroken_by_park(name):
 def test_restore_rejects_wrong_family():
     config = family_config("focus")
     engine = build_engine(config)
-    engine.advance_flat([1, 2, 3, 4], bytearray(4), 0)
+    engine.advance(singletons([1, 2, 3, 4]), bytearray(4), 0)
     data = engine.checkpoint()
     with pytest.raises(CheckpointError, match="family"):
         engine_family("newma").restore(data)
@@ -215,7 +203,7 @@ def test_restore_rejects_wrong_family():
 
 def test_windowed_runtime_rejects_family_checkpoints():
     engine = build_engine(family_config("newma"))
-    engine.advance_flat([1, 2, 3, 4], bytearray(4), 0)
+    engine.advance(singletons([1, 2, 3, 4]), bytearray(4), 0)
     data = engine.checkpoint()
     with pytest.raises(CheckpointError, match="windowed checkpoints"):
         DetectorRuntime.restore(data)
@@ -223,13 +211,13 @@ def test_windowed_runtime_rejects_family_checkpoints():
 
 def test_restore_engine_handles_both_versions():
     windowed = build_engine(DetectorConfig(cw_size=8))
-    windowed.advance_flat(list(range(40)), bytearray(40), 0)
+    windowed.advance(singletons(list(range(40))), bytearray(40), 0)
     v1 = windowed.checkpoint()
     assert v1["version"] == CHECKPOINT_VERSION
     assert isinstance(restore_engine(v1), DetectorRuntime)
 
     focus = build_engine(family_config("focus"))
-    focus.advance_flat(list(range(40)), bytearray(40), 0)
+    focus.advance(singletons(list(range(40))), bytearray(40), 0)
     v2 = focus.checkpoint()
     restored = restore_engine(v2)
     assert restored.family == "focus"

@@ -369,7 +369,7 @@ class TestBank:
             assert ours.detected_phases == solo.detected_phases
 
     def test_observed_bank_matches_kernel_bank(self, trace):
-        """Observers force every bank member onto the legacy lanes."""
+        """Observers force every bank member onto the sequential fused loop."""
         configs = self.grid()[:4]
         sink = MemorySink()
         observed = DetectorBank(configs, observers=[sink] * len(configs)).run(trace)

@@ -13,6 +13,7 @@ from repro.experiments.parallel import (
     _Progress,
     resolve_jobs,
 )
+from repro.experiments.store import ChunkStore, compact_chunks
 from repro.experiments.sweep import Sweep
 
 TINY = SuiteProfile(
@@ -152,6 +153,23 @@ class TestSerialParallelEquivalence:
         assert len(rows) == len(SPECS) * len(MPLS) * len(BENCHMARKS)
 
 
+class TestResolvedJobs:
+    def test_env_worker_count_is_what_the_run_records(self, tmp_path, monkeypatch):
+        # jobs=None resolves through REPRO_JOBS: the manifest and the
+        # result database must record the count that actually ran.
+        from repro.experiments.store import ResultDB
+
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        sweep = Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS,
+                      mpl_nominals=MPLS, jobs=None)
+        sweep.ensure(SPECS)
+        manifest = json.loads(sweep.manifest_path.read_text(encoding="utf-8"))
+        assert manifest["jobs"] == 2
+        assert 1 <= len(manifest["workers"]) <= 2
+        with ResultDB(sweep.db_path) as db:
+            assert [run["jobs"] for run in db.runs()] == [2]
+
+
 class TestProgressEta:
     def test_weighted_eta_tracks_remaining_trace_length(self):
         # 20 configs split over a short and a long trace.  After the 10
@@ -172,33 +190,47 @@ class TestProgressEta:
         assert tracker.eta_seconds(now=1.0) == 0.0
 
 
+def _run_store(executor, cache_dir, work):
+    """Drive ``executor.run_store`` over ``work``; compact the chunks
+    into the sweep cache and return its records in file order."""
+    sweep = Sweep(TINY, cache_dir=cache_dir, benchmarks=BENCHMARKS,
+                  mpl_nominals=MPLS)
+    fingerprints = {name: sweep._fingerprint(name) for name, _ in work}
+    store = ChunkStore(cache_dir, TINY.name)
+    stats = executor.run_store(work, store, fingerprints, progress=False)
+    cache = cache_dir / CACHE_NAME
+    compact_chunks(store, executor.planned, cache)
+    rows = cache.read_text(encoding="utf-8").splitlines() if cache.exists() else []
+    return stats, [json.loads(row) for row in rows]
+
+
 class TestExecutorOrdering:
     def test_chunks_delivered_in_submission_order(self, tmp_path):
-        # Warm the trace cache so workers hit disk, then drive the
-        # executor directly with single-spec chunks.
-        sweep = Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS, mpl_nominals=MPLS)
+        # Single-spec chunks finish in any order; the plan and the
+        # compaction that folds it keep submission order.
         executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2, chunk_size=1)
-        seen = []
-
-        def on_chunk(benchmark, records, benchmark_finished):
-            seen.append((benchmark, [r.cw_nominal for r in records], benchmark_finished))
-
         work = [(name, SPECS) for name in BENCHMARKS]
-        total = executor.run(work, on_chunk, progress=False)
-        assert total == len(SPECS) * len(BENCHMARKS)
-        benchmarks_seen = [benchmark for benchmark, _, _ in seen]
-        assert benchmarks_seen == sorted(
-            benchmarks_seen, key=BENCHMARKS.index
-        )
-        finished_flags = [done for _, _, done in seen]
-        assert finished_flags.count(True) == len(BENCHMARKS)
-        # The last chunk of each benchmark carries the finished flag.
-        assert finished_flags[len(SPECS) - 1] and finished_flags[-1]
+        stats, rows = _run_store(executor, tmp_path, work)
+        assert stats["evaluated_configs"] == len(SPECS) * len(BENCHMARKS)
+        assert [(c.benchmark, c.specs) for c in executor.planned] == [
+            (name, (spec,)) for name in BENCHMARKS for spec in SPECS
+        ]
+        expected = [
+            (name, spec.cw_nominal, mpl)
+            for name in BENCHMARKS for spec in SPECS for mpl in MPLS
+        ]
+        assert [
+            (row["benchmark"], row["cw_nominal"], row["mpl_nominal"]) for row in rows
+        ] == expected
 
     def test_empty_work_is_noop(self, tmp_path):
         executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2)
         calls = []
-        assert executor.run([], calls.append, progress=True) == 0
+        stats = executor.run_store(
+            [], ChunkStore(tmp_path, TINY.name), {}, progress=True,
+            on_chunk_done=lambda *args: calls.append(args),
+        )
+        assert stats["planned"] == stats["evaluated"] == 0
         assert calls == []
         assert executor.worker_stats == []
         assert executor.worker_metrics == {}
@@ -206,35 +238,27 @@ class TestExecutorOrdering:
 
 class TestWorkerAccounting:
     def test_worker_records_sum_to_delivered_records(self, tmp_path):
-        sweep = Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS,
-                      mpl_nominals=MPLS)
         executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2,
                                          chunk_size=1)
-        delivered = []
-
-        def on_chunk(benchmark, records, benchmark_finished):
-            delivered.extend(records)
-
         work = [(name, SPECS) for name in BENCHMARKS]
-        executor.run(work, on_chunk, progress=False)
+        stats, delivered = _run_store(executor, tmp_path, work)
         assert executor.worker_stats, "expected at least one worker entry"
         assert sum(w["records"] for w in executor.worker_stats) == len(delivered)
+        assert stats["evaluated_records"] == len(delivered)
         assert sum(w["configs"] for w in executor.worker_stats) == (
             len(SPECS) * len(BENCHMARKS)
         )
-        for stats in executor.worker_stats:
-            assert stats["chunks"] >= 1
-            assert stats["wall_seconds"] >= 0.0
+        for worker in executor.worker_stats:
+            assert worker["chunks"] >= 1
+            assert worker["wall_seconds"] >= 0.0
         # Worker pids are unique and the metrics snapshots are keyed by them.
         pids = [w["pid"] for w in executor.worker_stats]
         assert len(pids) == len(set(pids))
         assert set(executor.worker_metrics) == set(pids)
 
     def test_worker_metrics_count_trace_cache_hits(self, tmp_path):
-        Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS, mpl_nominals=MPLS)
         executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2)
-        executor.run([(name, SPECS) for name in BENCHMARKS],
-                     lambda *args: None, progress=False)
+        _run_store(executor, tmp_path, [(name, SPECS) for name in BENCHMARKS])
         merged_hits = sum(
             snapshot.get("counters", {}).get("io.trace_cache_hits", 0)
             for snapshot in executor.worker_metrics.values()
@@ -243,18 +267,15 @@ class TestWorkerAccounting:
         assert merged_hits >= 1
 
     def test_profiling_collects_chunk_profiles(self, tmp_path):
-        Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS, mpl_nominals=MPLS)
         executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2,
                                          chunk_size=2, profiling=True)
-        executor.run([(name, SPECS) for name in BENCHMARKS],
-                     lambda *args: None, progress=False)
+        _run_store(executor, tmp_path, [(name, SPECS) for name in BENCHMARKS])
         assert executor.chunk_profiles, "profiling mode must collect profiles"
         for profile in executor.chunk_profiles:
             assert profile["wall_seconds"] >= 0.0
             assert profile["peak_bytes"] > 0
 
     def test_no_profiles_without_profiling(self, tmp_path):
-        Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS, mpl_nominals=MPLS)
         executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2)
-        executor.run([(BENCHMARKS[0], SPECS)], lambda *args: None, progress=False)
+        _run_store(executor, tmp_path, [(BENCHMARKS[0], SPECS)])
         assert executor.chunk_profiles == []

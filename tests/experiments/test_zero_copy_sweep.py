@@ -14,6 +14,7 @@ from repro.experiments.config_space import ConfigSpec, SuiteProfile
 from repro.experiments.runner import BaselineSet, evaluate_bank
 from repro.experiments.sweep import Sweep
 from repro.workloads import load_traces
+from tests.experiments.test_bank_sweep import solo_records
 
 TINY = SuiteProfile(
     name="tiny",
@@ -72,8 +73,8 @@ class TestMmapSweepEquivalence:
             "db", scale=TINY.workload_scale, cache_dir=tmp_path
         )
         baselines = BaselineSet(call_loop, TINY, MPLS, name="db")
-        batched = evaluate_bank(branch, baselines, SPECS, TINY, batch=True)
-        scalar = evaluate_bank(branch, baselines, SPECS, TINY, batch=False)
+        batched = evaluate_bank(branch, baselines, SPECS, TINY)
+        scalar = solo_records(branch, baselines, SPECS, TINY, kernels=None)
         assert batched == scalar
 
 

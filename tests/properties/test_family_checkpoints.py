@@ -31,6 +31,11 @@ family_configs = st.sampled_from(["focus", "newma", "das_pearson", "lu_dynamo"])
 )
 
 
+def singletons(elements):
+    """Each element its own group (per-element stepping)."""
+    return [[element] for element in elements]
+
+
 def roundtrip(engine):
     """checkpoint → canonical JSON → restore, returning the new engine."""
     blob = json.dumps(engine.checkpoint(), separators=(",", ":"))
@@ -46,7 +51,7 @@ def roundtrip(engine):
 def test_park_at_every_chunk_boundary_is_bit_identical(trace, config, chunk):
     straight = build_engine(config)
     states_a = bytearray(len(trace))
-    straight.advance_flat(trace, states_a, 0)
+    straight.advance(singletons(trace), states_a, 0)
     phases_a = straight.finish(len(trace))
 
     parked = build_engine(config)
@@ -54,7 +59,7 @@ def test_park_at_every_chunk_boundary_is_bit_identical(trace, config, chunk):
     base = 0
     while base < len(trace):
         stop = min(base + chunk, len(trace))
-        parked.advance_flat(trace[base:stop], states_b, base)
+        parked.advance(singletons(trace[base:stop]), states_b, base)
         parked, _ = roundtrip(parked)
         base = stop
     phases_b = parked.finish(len(trace))
@@ -73,14 +78,14 @@ def test_checkpoint_is_a_fixed_point(trace, config, cut):
     """restore(checkpoint(e)).checkpoint() == checkpoint(e), bytewise."""
     engine = build_engine(config)
     stop = round(cut * len(trace))
-    engine.advance_flat(trace[:stop], bytearray(stop), 0)
+    engine.advance(singletons(trace[:stop]), bytearray(stop), 0)
     restored, blob = roundtrip(engine)
     assert json.dumps(restored.checkpoint(), separators=(",", ":")) == blob
     # And the parked engine's future equals the original's.
     tail = trace[stop:]
     states_a = bytearray(len(tail))
     states_b = bytearray(len(tail))
-    engine.advance_flat(tail, states_a, 0)
-    restored.advance_flat(tail, states_b, 0)
+    engine.advance(singletons(tail), states_a, 0)
+    restored.advance(singletons(tail), states_b, 0)
     assert bytes(states_a) == bytes(states_b)
     assert engine.finish(len(trace)) == restored.finish(len(trace))

@@ -157,7 +157,7 @@ def test_batched_bank_matches_sequential_legacy(trace, bank_configs):
     overlap between lanes (shared signatures exercise the cache)."""
     branch_trace = BranchTrace(trace)
     bank = DetectorBank(bank_configs)
-    batched = bank.run(branch_trace, kernels=True, batched=True)
+    batched = bank.run(branch_trace, kernels=True)
     solo_runtimes = [DetectorRuntime(config) for config in bank_configs]
     for runtime, bank_runtime, result in zip(
         solo_runtimes, bank.runtimes, batched
