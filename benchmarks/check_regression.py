@@ -46,8 +46,13 @@ batched-advancer row (kernels on, per-signature series sharing via
 best-of-``BANK_INTERLEAVE`` sequential-kernel vs bank timings (the side
 order flips each round so drift and cache-warming bias cancel instead
 of landing on one side) and gates their ratio,
-``BANK_BATCHED_MIN_SPEEDUP``.  The store row's compaction fold is
-normalized the same way.
+``BANK_BATCHED_MIN_SPEEDUP``.  That row's members are CW-250
+configs on 6,000-element phases, where the bank's saving is the shared
+series; the short-episode row gates the episode walk itself: the quick
+grid's 54 CW-1000 points as one bank over a trace of many short phases,
+against the same configs run one by one with kernels on, interleaved
+the same way and gated by ``SHORT_BANK_MIN_SPEEDUP``.  The store row's
+compaction fold is normalized the same way.
 
 The family rows time the decision-layer detectors (``focus``,
 ``newma``) on the same trace, giving them a calibration-normalized
@@ -94,6 +99,7 @@ import numpy as np
 from repro.core import AnalyzerKind, DetectorConfig, ModelKind, TrailingPolicy
 from repro.core.bank import DetectorBank
 from repro.core.engine import run_detector
+from repro.experiments.config_space import QUICK, paper_grid
 from repro.obs.manifest import environment_info
 from repro.profiles.io import (
     codes_path_for,
@@ -153,6 +159,13 @@ BANK_MAX_NORMALIZED = 21.61
 #: factor (measured ~3.3x on the reference host).
 BANK_BATCHED_MIN_SPEEDUP = 1.5
 
+#: The short-episode bank (the quick grid's 54 CW-1000 points walking
+#: a trace of many short phases in rounds) must beat the same configs
+#: run one by one with kernels on by at least this factor: about half
+#: the ratio measured when the walk moved to episode rounds (see
+#: CHANGES.md).
+SHORT_BANK_MIN_SPEEDUP = 1.8
+
 #: Interleaved rounds for the bank ratios: each round times both sides
 #: back to back and the side order flips per round, so slow host drift
 #: and page-cache warming cancel out of the best-of ratio instead of
@@ -160,9 +173,11 @@ BANK_BATCHED_MIN_SPEEDUP = 1.5
 BANK_INTERLEAVE = 3
 
 #: Per-config floors for the vectorized fast paths vs the legacy fused
-#: loop (same-run ratios).  The constant walk clears 3x with wide
-#: margin; the episode-vectorized adaptive walks pay a per-episode
-#: Python orchestration cost, so their floors are lower.
+#: loop (same-run ratios).  Constant-TW similarities are one cached
+#: series, so that walk clears 3x with wide margin; Adaptive-TW walks
+#: compute each in-phase block of the resized windows, whose cost
+#: grows with the block and (weighted) the local code set, so their
+#: floors are lower.
 KERNEL_MIN_SPEEDUPS = {
     "unweighted-constant": 3.0,
     "unweighted-adaptive": 2.0,
@@ -266,6 +281,48 @@ def _measure_bank(trace, bank_configs):
         min(samples["seq-kernel"]),
         min(samples["batched"]),
     )
+
+
+def _short_bank_configs():
+    """The quick paper grid's CW-1000 points, in grid order."""
+    return [spec.to_config(QUICK) for spec in paper_grid(QUICK)
+            if spec.cw_nominal == 1_000]
+
+
+def short_episode_trace():
+    """~12k elements of short phases (20-120 elements of a 3-11 code
+    body) between short runs of random codes, over a 40-code alphabet:
+    at CW 1000 of the quick grid (15 elements) its episodes are a few
+    to a few dozen steps long, as on the quick suite's traces."""
+    rng = np.random.default_rng(23)
+    parts = []
+    size = 0
+    while size < 12_000:
+        body = rng.choice(40, size=int(rng.integers(3, 12)), replace=False)
+        parts.append(np.resize(body, int(rng.integers(20, 120))))
+        parts.append(rng.integers(0, 40, size=int(rng.integers(5, 40))))
+        size += parts[-2].size + parts[-1].size
+    return BranchTrace(np.concatenate(parts).astype(np.int64), name="short")
+
+
+def _measure_short_bank(trace, members):
+    """Best-of-``BANK_INTERLEAVE`` times of the members run one by one
+    with kernels on, and of the same members as one bank, interleaved
+    and flipping the side order each round as :func:`_measure_bank`
+    does."""
+    sides = {
+        "sequential": lambda: [run_detector(trace, c, kernels=True)
+                               for c in members],
+        "bank": lambda: DetectorBank(members).run(trace, kernels=True),
+    }
+    samples = {side: [] for side in sides}
+    for round_index in range(BANK_INTERLEAVE):
+        pair = ["sequential", "bank"]
+        if round_index % 2:
+            pair.reverse()
+        for side in pair:
+            samples[side].append(_timed(sides[side]))
+    return min(samples["sequential"]), min(samples["bank"])
 
 
 def bench_trace():
@@ -703,6 +760,9 @@ def measure(repeats):
     bank_calibration, bank_seconds, seq_kernel_seconds, batched_seconds = (
         _measure_bank(trace, bank_configs)
     )
+    short_trace = short_episode_trace()
+    short_members = _short_bank_configs()
+    short_sequential, short_bank = _measure_short_bank(short_trace, short_members)
     serve_row = _measure_serve(calibration)
     telemetry_row = _measure_telemetry(calibration)
     store_row = _measure_store(calibration)
@@ -763,6 +823,15 @@ def measure(repeats):
                 "speedup": round(seq_kernel_seconds / batched_seconds, 4),
                 "min_speedup": BANK_BATCHED_MIN_SPEEDUP,
             },
+        },
+        "short_bank": {
+            "members": len(short_members),
+            "elements": len(short_trace),
+            "interleave": BANK_INTERLEAVE,
+            "sequential_kernel_seconds": round(short_sequential, 6),
+            "bank_seconds": round(short_bank, 6),
+            "speedup": round(short_sequential / short_bank, 4),
+            "min_speedup": SHORT_BANK_MIN_SPEEDUP,
         },
         "kernels": {
             "min_speedups": KERNEL_MIN_SPEEDUPS,
@@ -841,6 +910,10 @@ def _print_report(result):
     print(f"  bank[{bank['size']}] batched      {batched['batched_seconds']:.4f}s "
           f"vs sequential kernels {batched['sequential_kernel_seconds']:.4f}s "
           f"(speedup {batched['speedup']:.2f}x)")
+    short = result["short_bank"]
+    print(f"  short-episode bank[{short['members']}] {short['bank_seconds']:.4f}s "
+          f"vs sequential kernels {short['sequential_kernel_seconds']:.4f}s "
+          f"(speedup {short['speedup']:.2f}x)")
     warm = result["zero_copy"]["warm_start"]
     print(f"  warm-start[{warm['elements']} elems] cold {warm['cold_seconds']:.4f}s "
           f"vs zero-copy {warm['zero_copy_seconds']:.4f}s "
@@ -967,6 +1040,17 @@ def main(argv=None):
         print(f"FAIL: batched bank advancer was only {batched_speedup:.2f}x "
               f"{BANK_SIZE} sequential kernel runs "
               f"(gate {BANK_BATCHED_MIN_SPEEDUP:.2f}x)", file=sys.stderr)
+        return 1
+    # Short-episode gate: the episode walk's rounds against the same
+    # configs walked one by one, both with kernels on.
+    short_speedup = float(result["short_bank"]["speedup"])
+    print(f"short-episode bank speedup: {short_speedup:.2f}x "
+          f"(gate >= {SHORT_BANK_MIN_SPEEDUP:.2f}x)")
+    if short_speedup < SHORT_BANK_MIN_SPEEDUP:
+        print(f"FAIL: the {result['short_bank']['members']}-member "
+              f"short-episode bank was only {short_speedup:.2f}x its "
+              f"members run one by one (gate {SHORT_BANK_MIN_SPEEDUP:.2f}x)",
+              file=sys.stderr)
         return 1
     # Kernel gates: same-run kernel/legacy ratios, so they need no
     # baseline and no calibration — both sides ran on this host seconds

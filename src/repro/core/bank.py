@@ -108,7 +108,10 @@ class DetectorBank:
           under ``trace_parent`` with one ``bank.kernel`` child per
           path actually taken (``batched`` / ``sequential``).
         - ``metrics`` — a registry whose ``bank.advance_seconds``
-          histogram receives one observation per member run.
+          histogram receives one observation for the
+          :func:`~repro.core.kernels.run_bank_batched` pass (its members
+          advance together in rounds, so none has a duration of its
+          own) and one per sequentially run member.
         """
         from repro.core import kernels as kernel_mod
 

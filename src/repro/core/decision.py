@@ -59,6 +59,8 @@ CHECKPOINT_VERSION_FAMILY = 2
 #: The windowed grid's family name (the :class:`DetectorConfig` default).
 WINDOWED_FAMILY = "windowed"
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class DetectedPhase:
@@ -74,6 +76,22 @@ class DetectedPhase:
     corrected_start: int
     end: int
     mean_similarity: float = 0.0
+
+    def __post_init__(self) -> None:
+        # Plain comparisons only: the vectorized walks build one record
+        # per episode.  An anchor never moves the start past detection,
+        # and a phase closes at or after its detected start.  The mean
+        # has no upper bound (the changepoint families' statistics are
+        # unbounded), but it is finite: -inf < x < inf fails for NaN too.
+        if not 0 <= self.corrected_start <= self.detected_start <= self.end:
+            raise ValueError(
+                "phase needs 0 <= corrected_start <= detected_start <= end, "
+                f"got {self.corrected_start}, {self.detected_start}, {self.end}"
+            )
+        if not -_INF < self.mean_similarity < _INF:
+            raise ValueError(
+                f"phase mean_similarity must be finite, got {self.mean_similarity}"
+            )
 
     @property
     def length(self) -> int:
@@ -508,11 +526,20 @@ class DecisionEngine:
         if open_phase is not None:
             tracker.open_detected = int(open_phase[0])  # type: ignore[index]
             tracker.open_corrected = int(open_phase[1])  # type: ignore[index]
-        tracker.phases = [
-            DetectedPhase(int(p[0]), int(p[1]), int(p[2]), float(p[3]))
-            for p in data["phases"]  # type: ignore[union-attr]
-        ]
+        tracker.phases = restore_phases(data["phases"])
         return engine
+
+
+def restore_phases(rows) -> List[DetectedPhase]:
+    """A checkpoint's ``phases`` rows as :class:`DetectedPhase` records;
+    :class:`CheckpointError` for a row no run could have produced."""
+    try:
+        return [
+            DetectedPhase(int(p[0]), int(p[1]), int(p[2]), float(p[3]))
+            for p in rows
+        ]
+    except (ValueError, TypeError, IndexError) as exc:
+        raise CheckpointError(f"impossible phase in checkpoint: {exc}") from exc
 
 
 def validate_checkpoint(data: Dict[str, object]) -> None:

@@ -19,6 +19,7 @@ semantics here must be reflected there.
 
 from __future__ import annotations
 
+from typing import List
 
 from repro.core.config import DetectorConfig, ModelKind
 from repro.core.windows import WindowPair
@@ -70,6 +71,14 @@ class UnweightedSetModel(SimilarityModel):
         if new_count == 0 and element in self.cw_counts:
             self._shared -= 1
 
+    def load_windows(self, tw: List[int], cw: List[int]) -> None:
+        """Fill the empty windows with ``tw`` then ``cw`` in bulk: the
+        state adding them element by element would leave."""
+        self._load_counts(tw, cw)
+        tw_counts = self.tw_counts
+        self._distinct_cw = len(self.cw_counts)
+        self._shared = sum(1 for element in self.cw_counts if element in tw_counts)
+
     def similarity(self) -> float:
         if self._distinct_cw == 0:
             return 0.0
@@ -84,6 +93,11 @@ class WeightedSetModel(SimilarityModel):
     ``sum_e min(w_cw(e), w_tw(e))``.  Only elements present in the CW
     can contribute, so the sum iterates the CW's distinct elements.
     """
+
+    def load_windows(self, tw: List[int], cw: List[int]) -> None:
+        """Fill the empty windows with ``tw`` then ``cw`` in bulk (the
+        weighted model keeps no aggregates beyond the counts)."""
+        self._load_counts(tw, cw)
 
     def similarity(self) -> float:
         cw_length = len(self._cw)

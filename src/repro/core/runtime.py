@@ -74,6 +74,7 @@ from repro.core.decision import (
     PhaseDecision,
     PhaseTracker,
     StepOutcome,
+    restore_phases,
     validate_checkpoint,
 )
 from repro.core.models import (
@@ -741,8 +742,5 @@ class DetectorRuntime(DecisionEngine):
         if open_phase is not None:
             tracker.open_detected = int(open_phase[0])  # type: ignore[index]
             tracker.open_corrected = int(open_phase[1])  # type: ignore[index]
-        tracker.phases = [
-            DetectedPhase(int(p[0]), int(p[1]), int(p[2]), float(p[3]))
-            for p in data["phases"]  # type: ignore[union-attr]
-        ]
+        tracker.phases = restore_phases(data["phases"])
         return runtime

@@ -13,7 +13,7 @@ the anchor-corrected phase starts of Figure 8 use.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Deque, Dict, Iterable, List
 
 from repro.core.config import AnchorPolicy, ResizePolicy
@@ -139,6 +139,16 @@ class WindowPair:
 
     def _reset_aggregates(self) -> None:
         """Reset model aggregates after a flush (hook for subclasses)."""
+
+    def _load_counts(self, tw: List[int], cw: List[int]) -> None:
+        """Fill the empty windows with ``tw`` and ``cw`` (oldest first)
+        and their counts in bulk, in the insertion order element-by-
+        element adds would give, without calling the hooks: a model's
+        ``load_windows`` then derives its aggregates from the counts."""
+        self._tw.extend(tw)
+        self._cw.extend(cw)
+        self.tw_counts.update(Counter(tw))
+        self.cw_counts.update(Counter(cw))
 
     # -- geometry ---------------------------------------------------------------
 

@@ -103,6 +103,23 @@ class TestEquivalence:
         assert sink.events[-1]["ev"] == "run_end"
 
 
+class TestTelemetry:
+    def test_advance_seconds_counts_passes_and_sequential_members(self, trace):
+        """One observation for the batched pass (its members share every
+        round) plus one per sequentially run member — here FOCuS."""
+        from repro.obs.metrics import MetricsRegistry
+
+        windowed = grid_configs()[:4]
+        focus = replace(engine_family("focus").default_config(), cw_size=60)
+        for configs, expected in ((windowed, 1), (windowed + [focus], 2), ([focus], 1)):
+            metrics = MetricsRegistry()
+            DetectorBank(configs).run(trace, kernels=True, metrics=metrics)
+            assert metrics.histogram("bank.advance_seconds").count == expected
+        metrics = MetricsRegistry()
+        DetectorBank(windowed + [focus]).run(trace, kernels=False, metrics=metrics)
+        assert metrics.histogram("bank.advance_seconds").count == 5
+
+
 class TestConstruction:
     def test_empty_bank_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -223,6 +223,47 @@ def test_restore_engine_handles_both_versions():
     assert restored.family == "focus"
 
 
+#: One bad field per case: (row edit, what the error names).
+BAD_PHASES = {
+    "end-before-start": (lambda row: row.__setitem__(2, row[0] - 1), "detected_start <= end"),
+    "negative-start": (lambda row: row.__setitem__(0, -1), "0 <= corrected_start"),
+    "nan-mean": (lambda row: row.__setitem__(3, float("nan")), "finite"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_PHASES))
+@pytest.mark.parametrize("version", [CHECKPOINT_VERSION, CHECKPOINT_VERSION_FAMILY])
+def test_restore_rejects_impossible_phases(version, bad):
+    """Both schema versions refuse a closed phase no run can produce,
+    instead of restoring it into plausible-looking output."""
+    config = DetectorConfig(cw_size=8) if version == CHECKPOINT_VERSION else (
+        family_config("focus")
+    )
+    engine = build_engine(config)
+    engine.advance(singletons(list(range(40))), bytearray(40), 0)
+    data = engine.checkpoint()
+    assert data["version"] == version
+    data["phases"] = [[10, 8, 20, 0.5]]
+    assert restore_engine(json.loads(json.dumps(data))).phases[0].end == 20
+    edit, message = BAD_PHASES[bad]
+    edit(data["phases"][0])
+    with pytest.raises(CheckpointError, match=message):
+        restore_engine(data)
+
+
+def test_detected_phase_bounds():
+    from repro.core.decision import DetectedPhase
+
+    # Zero-length phases and unbounded (changepoint-statistic) means are
+    # representable; NaN, infinite means and misordered bounds are not.
+    assert DetectedPhase(5, 5, 5, 0.0).length == 0
+    assert DetectedPhase(7, 3, 9, 42.5).confidence == 42.5
+    for fields in ((5, 6, 9, 0.5), (5, 3, 4, 0.5), (5, -1, 9, 0.5),
+                   (5, 3, 9, float("inf")), (5, 3, 9, float("-inf"))):
+        with pytest.raises(ValueError):
+            DetectedPhase(*fields)
+
+
 def test_validate_checkpoint_rejects_unknown_and_untagged():
     with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
         validate_checkpoint(

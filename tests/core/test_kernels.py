@@ -377,3 +377,186 @@ class TestBank:
         for ours, theirs in zip(observed, kernel):
             assert np.array_equal(ours.states, theirs.states)
             assert ours.detected_phases == theirs.detected_phases
+
+
+def one_phase_trace(length, body=5, lead=40, tail=40):
+    """Distinct lead-in elements, ``length`` elements cycling ``body``
+    codes, then distinct tail elements: one phase whose exit moves one
+    step later per extra element."""
+    return BranchTrace(
+        list(range(1_000, 1_000 + lead))
+        + [i % body for i in range(length)]
+        + list(range(2_000, 2_000 + tail))
+    )
+
+
+def assert_bank_matches_fused(trace, configs):
+    """Every lane of a kernel bank against a solo fused-loop run:
+    states, phases (float bits via the checkpoint) and checkpoints."""
+    bank = DetectorBank(configs)
+    results = bank.run(trace, kernels=True)
+    for config, runtime, result in zip(configs, bank.runtimes, results):
+        legacy_rt = DetectorRuntime(config)
+        legacy = legacy_rt.run(trace, kernels=False)
+        label = config.describe()
+        assert np.array_equal(result.states, legacy.states), label
+        assert result.detected_phases == legacy.detected_phases, label
+        assert json.dumps(runtime.checkpoint(), sort_keys=True) == json.dumps(
+            legacy_rt.checkpoint(), sort_keys=True
+        ), label
+    return results
+
+
+class TestRounds:
+    """Episode rounds at block boundaries and at the edges of a bank:
+    every case against the fused loop."""
+
+    #: One lane per exit path: Constant and Adaptive TW, both models,
+    #: both analyzers (skip 1, so steps are elements).
+    CONFIGS = [
+        DetectorConfig(cw_size=8, skip_factor=1, threshold=0.6),
+        DetectorConfig(
+            cw_size=8, skip_factor=1, analyzer=AnalyzerKind.AVERAGE, delta=0.05
+        ),
+        DetectorConfig(
+            cw_size=8, skip_factor=1, trailing=TrailingPolicy.ADAPTIVE,
+            threshold=0.6,
+        ),
+        DetectorConfig(
+            cw_size=8, skip_factor=1, trailing=TrailingPolicy.ADAPTIVE,
+            model=ModelKind.WEIGHTED, analyzer=AnalyzerKind.AVERAGE, delta=0.05,
+        ),
+    ]
+
+    @staticmethod
+    def trace_exiting_at(config, offset):
+        """A :func:`one_phase_trace` whose phase exits ``offset`` steps
+        after its entry step (measured on the fused loop)."""
+        for length in range(config.cw_size, 200):
+            trace = one_phase_trace(length)
+            phases = run_detector(trace, config, kernels=False).detected_phases
+            if phases and phases[0].end < len(trace):
+                if phases[0].end - phases[0].detected_start == offset:
+                    return trace
+        raise AssertionError(f"no trace exits {offset} steps after entry")
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.describe())
+    def test_exit_on_last_step_of_first_block(self, config):
+        from repro.core.kernels import _FIRST_BLOCK_STEPS
+
+        trace = self.trace_exiting_at(config, _FIRST_BLOCK_STEPS)
+        assert_bank_matches_fused(trace, [config])
+        assert_bank_matches_fused(trace, self.CONFIGS)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.describe())
+    def test_exit_on_first_step_of_next_block(self, config):
+        from repro.core.kernels import _FIRST_BLOCK_STEPS
+
+        trace = self.trace_exiting_at(config, _FIRST_BLOCK_STEPS + 1)
+        assert_bank_matches_fused(trace, [config])
+        assert_bank_matches_fused(trace, self.CONFIGS)
+
+    def test_lane_that_never_enters(self):
+        """Lanes that walk no episode — windows too wide to fill, or
+        nothing reaching the entry bar — beside bank-mates that do."""
+        trace = BranchTrace(
+            list(range(500, 560)) + [i % 3 for i in range(200)] + list(range(600, 660))
+        )
+        unfilled = DetectorConfig(cw_size=200, skip_factor=1)
+        results = assert_bank_matches_fused(trace, self.CONFIGS + [unfilled])
+        assert all(result.detected_phases for result in results[:-1])
+        assert not results[-1].detected_phases
+        noise = BranchTrace(list(range(300)))
+        results = assert_bank_matches_fused(noise, [unfilled] + self.CONFIGS)
+        assert not any(result.detected_phases for result in results)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.describe())
+    def test_phase_open_at_trace_end_mid_block(self, config):
+        """The trace ends inside the second block of an open phase; the
+        pre-``finish`` checkpoint (open phase, running statistics) and
+        the final one both match the fused loop."""
+        from repro.core.kernels import _FIRST_BLOCK_STEPS
+
+        long_trace = self.trace_exiting_at(config, 3 * _FIRST_BLOCK_STEPS)
+        entry = run_detector(long_trace, config, kernels=False).detected_phases[0]
+        trace = BranchTrace(
+            long_trace.array[: entry.detected_start + _FIRST_BLOCK_STEPS + 5]
+        )
+        results = assert_bank_matches_fused(trace, [config])
+        assert results[0].detected_phases[-1].end == len(trace)
+        assert_bank_matches_fused(trace, self.CONFIGS)
+        kernel_rt = DetectorRuntime(config)
+        run_vectorized(kernel_rt, trace)
+        legacy_rt = DetectorRuntime(config)
+        legacy_rt.advance(
+            [[element] for element in trace.array.tolist()], bytearray(len(trace)), 0
+        )
+        kernel_cp = kernel_rt.checkpoint()
+        assert kernel_cp["state"] == "P"
+        assert json.dumps(kernel_cp, sort_keys=True) == json.dumps(
+            legacy_rt.checkpoint(), sort_keys=True
+        )
+
+    @pytest.mark.parametrize("elements", [[], [7]])
+    def test_empty_and_single_element_traces(self, elements):
+        configs = self.CONFIGS + [
+            DetectorConfig(cw_size=1, tw_size=1, skip_factor=1, threshold=0.0),
+            DetectorConfig(cw_size=3, skip_factor=3, model=ModelKind.WEIGHTED),
+        ]
+        results = assert_bank_matches_fused(BranchTrace(elements), configs)
+        assert all(result.states.size == len(elements) for result in results)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.describe())
+    def test_one_lane_bank_equals_solo(self, trace, config):
+        banked_rt = DetectorRuntime(config)
+        (banked,) = run_bank_batched([banked_rt], trace)
+        solo_rt = DetectorRuntime(config)
+        solo = run_vectorized(solo_rt, trace)
+        assert np.array_equal(banked, solo)
+        assert json.dumps(banked_rt.checkpoint(), sort_keys=True) == json.dumps(
+            solo_rt.checkpoint(), sort_keys=True
+        )
+        assert_bank_matches_fused(trace, [config])
+
+    def test_row_cumsum_is_sequential_phase_stats(self):
+        """The rounds' seeded row-wise ``cumsum`` performs exactly
+        ``PhaseStats.add``'s additions, and the Average bars built from
+        it pick the reference loop's exit step (2,000 random blocks)."""
+        from types import SimpleNamespace
+
+        from repro.core.analyzers import PhaseStats
+        from repro.core.kernels import _NEVER, SharedTraceKernels, _Rounds
+
+        rounds = _Rounds(SharedTraceKernels(BranchTrace([1, 2, 3])), [])
+        rng = np.random.default_rng(2_000)
+        for _ in range(2_000):
+            rows, width = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            blk = rng.random((rows, width)) ** rng.uniform(0.05, 1.0)
+            lanes = []
+            for _ in range(rows):
+                total = float(rng.random() * rng.integers(1, 50))
+                averaging = bool(rng.integers(2))
+                lanes.append(SimpleNamespace(
+                    total=total,
+                    count=int(rng.integers(1, 50)),
+                    drop=float(rng.choice([0.0, 0.01, 0.2])) if averaging else _NEVER,
+                    floor=-np.inf if averaging else float(rng.random()),
+                ))
+            lens = [int(n) for n in rng.integers(1, width + 1, size=rows)]
+            for row, length in enumerate(lens):
+                blk[row, length:] = -np.inf
+            cuts, totals = rounds._exits(lanes, blk)
+            for row, lane in enumerate(lanes):
+                stats = PhaseStats(count=lane.count, total=lane.total)
+                cut = lens[row]
+                for step, value in enumerate(blk[row, : lens[row]].tolist()):
+                    if lane.drop == _NEVER:
+                        bar = lane.floor
+                    else:
+                        bar = stats.total / stats.count - lane.drop
+                    if value < bar:
+                        cut = step
+                        break
+                    stats.add(value)
+                assert cuts[row] == cut
+                assert totals[row] == stats.total  # bit-identical

@@ -168,3 +168,58 @@ def test_batched_bank_matches_sequential_legacy(trace, bank_configs):
         assert json.dumps(bank_runtime.checkpoint(), sort_keys=True) == (
             json.dumps(runtime.checkpoint(), sort_keys=True)
         )
+
+
+@st.composite
+def short_window_configs(draw):
+    """Short windows (CW/TW 2-20) at skip 1 or skip = CW, both models,
+    analyzers and trailing policies, RN/LNN x SLIDE/MOVE — lanes whose
+    episodes are a few steps long and end in different rounds."""
+    cw = draw(st.integers(min_value=2, max_value=20))
+    return DetectorConfig(
+        cw_size=cw,
+        tw_size=draw(st.integers(min_value=2, max_value=20)),
+        skip_factor=draw(st.sampled_from([1, cw])),
+        trailing=draw(st.sampled_from(list(TrailingPolicy))),
+        anchor=draw(st.sampled_from(list(AnchorPolicy))),
+        resize=draw(st.sampled_from(list(ResizePolicy))),
+        model=draw(st.sampled_from(list(ModelKind))),
+        analyzer=draw(st.sampled_from(list(AnalyzerKind))),
+        threshold=draw(st.sampled_from([0.3, 0.5, 0.7, 0.9])),
+        delta=draw(st.sampled_from([0.0, 0.01, 0.1, 0.3])),
+        enter_threshold=draw(st.sampled_from([0.4, 0.6, 0.9])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pieces=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=6),  # body size
+            st.integers(min_value=1, max_value=40),  # repetitions
+            st.integers(min_value=0, max_value=15),  # noise elements
+        ),
+        min_size=1, max_size=6,
+    ),
+    bank_configs=st.lists(short_window_configs(), min_size=2, max_size=10),
+)
+def test_heterogeneous_short_window_banks_match_fused(pieces, bank_configs):
+    """Banks of short, mixed windows over traces of many short phases:
+    lanes enter, exit and finish in different rounds, and every lane's
+    states, phases and checkpoint match its solo fused-loop run."""
+    trace = []
+    fresh = 1_000
+    for body, repeats, noise in pieces:
+        trace += list(range(body)) * repeats + list(range(fresh, fresh + noise))
+        fresh += noise
+    branch_trace = BranchTrace(trace)
+    bank = DetectorBank(bank_configs)
+    batched = bank.run(branch_trace, kernels=True)
+    for config, bank_runtime, result in zip(bank_configs, bank.runtimes, batched):
+        runtime = DetectorRuntime(config)
+        solo = runtime.run(branch_trace, kernels=False)
+        assert np.array_equal(result.states, solo.states)
+        assert result.detected_phases == solo.detected_phases
+        assert json.dumps(bank_runtime.checkpoint(), sort_keys=True) == (
+            json.dumps(runtime.checkpoint(), sort_keys=True)
+        )
